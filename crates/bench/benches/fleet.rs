@@ -271,22 +271,28 @@ fn run_accuracy(
     for k in 0..sample {
         let incident = &world.incidents[k * total / sample];
         let text = incident.text();
-        let sharded = serve::fleet::dispatch(
+        let sharded = serve::fleet::dispatch_batch(
             &entries,
             world,
-            &text,
-            incident.created_at,
+            &MonitoringConfig::default(),
+            &[(&text, incident.created_at)],
             None,
             &sharded_config,
-        );
-        let sequential = serve::fleet::dispatch(
+            &[],
+        )
+        .pop()
+        .expect("one input yields one outcome set");
+        let sequential = serve::fleet::dispatch_batch(
             &entries,
             world,
-            &text,
-            incident.created_at,
+            &MonitoringConfig::default(),
+            &[(&text, incident.created_at)],
             None,
             &sequential_config,
-        );
+            &[],
+        )
+        .pop()
+        .expect("one input yields one outcome set");
         bit_identical &= outcome_key(&sharded) == outcome_key(&sequential);
         fleet_hits += decision_hits(&master, &sharded, incident.owner, &scouted) as usize;
         sequential_hits += decision_hits(&master, &sequential, incident.owner, &scouted) as usize;

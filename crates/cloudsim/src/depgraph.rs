@@ -205,31 +205,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtin_mirrors_the_enum_graph() {
-        let g = DependencyGraph::builtin();
-        assert_eq!(g.len(), Team::ALL.len());
-        for a in Team::ALL {
-            for b in Team::ALL {
-                // The diagonal is the one deliberate difference: the
-                // string graph defines self-dependency as false, while
-                // the enum BFS reports true for teams on a dependency
-                // cycle. Every caller guards the reflexive case with an
-                // equality check first, so only off-diagonal pairs must
-                // agree.
-                if a == b {
-                    assert!(!g.is_transitive_dependency(a.name(), b.name()));
-                    continue;
-                }
-                assert_eq!(
-                    g.is_transitive_dependency(a.name(), b.name()),
-                    TeamRegistry::new().is_transitive_dependency(a, b),
-                    "{a} -> {b} disagrees with the enum graph"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn unknown_teams_are_unrelated_but_addable() {
         let mut g = DependencyGraph::builtin();
         assert!(!g.contains("Atlantis"));

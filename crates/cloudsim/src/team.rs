@@ -166,25 +166,6 @@ impl TeamRegistry {
             .filter(|t| t.depends_on().contains(&team))
             .collect()
     }
-
-    /// Is `suspect` a (transitive) dependency of `complainant`?
-    pub fn is_transitive_dependency(&self, complainant: Team, suspect: Team) -> bool {
-        let mut stack = vec![complainant];
-        let mut seen = [false; Team::ALL.len()];
-        while let Some(t) = stack.pop() {
-            for &d in t.depends_on() {
-                if d == suspect {
-                    return true;
-                }
-                let idx = d.id().0 as usize;
-                if !seen[idx] {
-                    seen[idx] = true;
-                    stack.push(d);
-                }
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -224,13 +205,13 @@ mod tests {
 
     #[test]
     fn transitive_dependencies() {
-        let reg = TeamRegistry::new();
+        let g = crate::DependencyGraph::builtin();
         // Database → Storage → PhyNet.
-        assert!(reg.is_transitive_dependency(Team::Database, Team::PhyNet));
-        assert!(reg.is_transitive_dependency(Team::Database, Team::Storage));
+        assert!(g.is_transitive_dependency("Database", "PhyNet"));
+        assert!(g.is_transitive_dependency("Database", "Storage"));
         // PhyNet depends on nothing.
         for t in Team::ALL {
-            assert!(!reg.is_transitive_dependency(Team::PhyNet, t));
+            assert!(!g.is_transitive_dependency("PhyNet", t.name()));
         }
         // No self-dependency in the direct graph.
         for t in Team::ALL {

@@ -21,7 +21,7 @@
 //! notes are what later reveals the implicated components (§7.4).
 
 use crate::model::{Incident, IncidentSource};
-use cloudsim::{Fault, Severity, SimDuration, Team, TeamRegistry, Topology};
+use cloudsim::{DependencyGraph, Fault, Severity, SimDuration, Team, TeamRegistry, Topology};
 use rand::Rng;
 
 /// One team's engagement with an incident.
@@ -160,6 +160,7 @@ impl Default for RouterConfig {
 pub struct Router<'a> {
     topo: &'a Topology,
     registry: TeamRegistry,
+    graph: DependencyGraph,
     config: RouterConfig,
 }
 
@@ -169,6 +170,7 @@ impl<'a> Router<'a> {
         Router {
             topo,
             registry: TeamRegistry::new(),
+            graph: DependencyGraph::builtin(),
             config,
         }
     }
@@ -242,7 +244,10 @@ impl<'a> Router<'a> {
             // Owner last so `resolver()` stays meaningful for all-hands
             // traces too.
             let engaged = team != owner
-                && (self.registry.is_transitive_dependency(owner, team) || team == Team::Support);
+                && (self
+                    .graph
+                    .is_transitive_dependency(owner.name(), team.name())
+                    || team == Team::Support);
             if !engaged {
                 continue;
             }
@@ -298,7 +303,10 @@ impl<'a> Router<'a> {
             let mut w = 0.2; // any team can be dragged in (§3.2)
             if origin.depends_on().contains(&team) {
                 w += 1.5; // direct dependency: legitimate suspect
-            } else if self.registry.is_transitive_dependency(origin, team) {
+            } else if self
+                .graph
+                .is_transitive_dependency(origin.name(), team.name())
+            {
                 w += 0.8;
             }
             if team == Team::PhyNet {

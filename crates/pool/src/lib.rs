@@ -197,12 +197,15 @@ impl Shared {
     fn push_chunks(&self, chunks: Vec<Chunk>, cursor: &AtomicUsize) {
         let n = chunks.len();
         let start = cursor.fetch_add(n, Ordering::Relaxed);
+        // Count before publishing: a chunk is claimable the moment it is
+        // on a deque, and its claim decrements `queued`, so the count
+        // must already include it or the decrement underflows.
+        let q = self.queued.fetch_add(n, Ordering::AcqRel) + n;
+        obs::gauge("pool.queue.depth").set(q as f64);
         for (k, chunk) in chunks.into_iter().enumerate() {
             let dq = (start + k) % self.deques.len();
             self.deques[dq].lock().unwrap().push_back(chunk);
         }
-        let q = self.queued.fetch_add(n, Ordering::AcqRel) + n;
-        obs::gauge("pool.queue.depth").set(q as f64);
         // Wake every sleeper: chunks were fanned across deques.
         let _guard = self.sleep_mx.lock().unwrap();
         self.wake.notify_all();
@@ -601,6 +604,32 @@ mod tests {
         let pool = Pool::new(2);
         let mut out = vec![0u64; 20];
         pool.parallel_fill(&[1, 2], &mut out, 5, |_, _, _| {});
+    }
+
+    #[test]
+    fn concurrent_tiny_maps_keep_the_queue_count_consistent() {
+        // Many callers pushing few chunks each: a worker may claim a
+        // chunk the instant it is published, so the queued count must
+        // never be decremented below zero.
+        let pool = Arc::new(Pool::new(4));
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    for round in 0..200u64 {
+                        let items = [t, round, t ^ round];
+                        let out = pool.parallel_map(&items, |_, &v| v + 1);
+                        assert_eq!(out, vec![t + 1, round + 1, (t ^ round) + 1]);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("caller thread");
+        }
+        // Every chunk was claimed (and counted down) before its caller
+        // returned.
+        assert_eq!(pool.shared.queued.load(Ordering::Acquire), 0);
     }
 
     #[test]

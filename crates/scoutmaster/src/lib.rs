@@ -13,8 +13,8 @@
 //!   confidence; all "no" → fall back to the legacy process.
 //! * [`fleet`] — the same policy over dynamic, string-keyed team fleets
 //!   (a [`cloudsim::DependencyGraph`] instead of the closed enum), plus
-//!   DeepTriage-style top-k suggestions. This is what the serving plane
-//!   routes with.
+//!   DeepTriage-style top-k suggestions. The serving plane routes with
+//!   it, and [`master`] is an enum-keyed adapter over it.
 //! * [`sim`] — the Appendix D trace-driven simulations: N perfect Scouts
 //!   (Fig. 15) and imperfect Scouts over an (α, β) accuracy/confidence
 //!   sweep (Fig. 16).

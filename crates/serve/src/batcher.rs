@@ -1,20 +1,21 @@
 //! Micro-batched inference.
 //!
-//! Predict requests from all connections land in one bounded job queue.
-//! A single batcher thread collects jobs until either the batch is full
-//! or a short deadline lapses (default 32 requests / 2 ms — sized to
-//! the flattened forest's 32-row scoring tile, so a full batch feeds
-//! exactly one micro-batch through the node-major tables), groups them
-//! by team, resolves **one** model version per team-group, and runs one
-//! pooled [`Scout::predict_many`] pass per group. Because `prepare` is a
-//! pure per-example function (PR 2's determinism contract), the batched
-//! answers are bit-identical to what N sequential `predict` calls would
-//! have produced — batching changes throughput, never verdicts.
+//! Predict requests from all connections land in the serving plane's
+//! coalescing queue (`coalesce`), which collects jobs until either the
+//! batch is full or a short window lapses (default 32 requests / 2 ms —
+//! a full batch is a quarter of the flattened forest's 128-row scoring
+//! tile). Each batch is grouped by team, resolves **one** model version
+//! per team-group, and runs one pooled [`Scout::predict_many`] pass per
+//! group. Because `prepare` is a pure per-example function (the
+//! workspace's determinism contract), the batched answers are
+//! bit-identical to what N sequential `predict` calls would have
+//! produced — batching changes throughput, never verdicts.
 //!
 //! Metrics: `serve.batch.occupancy` (histogram of jobs per batch),
 //! `serve.deadline.expired` (requests that timed out in the queue).
 
 use crate::admission::Permit;
+use crate::coalesce::{Coalesced, Coalescer, Names};
 use crate::registry::{ModelEntry, ModelRegistry};
 use cloudsim::SimTime;
 use incident::Workload;
@@ -22,7 +23,7 @@ use monitoring::{MonitoringConfig, MonitoringSystem};
 use scout::Prediction;
 use std::collections::BTreeMap;
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// One queued predict job.
@@ -81,15 +82,16 @@ impl std::fmt::Display for PredictError {
     }
 }
 
-#[derive(Default)]
-struct QueueState {
-    jobs: std::collections::VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct Queue {
-    state: Mutex<QueueState>,
-    wake: Condvar,
+impl Coalesced for Job {
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+    fn ctx(&self) -> obs::TraceContext {
+        self.ctx
+    }
+    fn fail(self, error: PredictError) {
+        let _ = self.reply.try_send(Err(error));
+    }
 }
 
 /// Batcher configuration.
@@ -110,10 +112,9 @@ impl Default for BatchConfig {
     }
 }
 
-/// The batcher: owns the job queue and the worker thread.
+/// The batcher: the coalescing queue plus the per-team predict runner.
 pub struct Batcher {
-    queue: Arc<Queue>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    queue: Coalescer<Job>,
 }
 
 impl Batcher {
@@ -127,184 +128,42 @@ impl Batcher {
         monitoring: Arc<RwLock<MonitoringConfig>>,
         config: BatchConfig,
     ) -> Batcher {
-        let queue = Arc::new(Queue {
-            state: Mutex::new(QueueState::default()),
-            wake: Condvar::new(),
-        });
-        let worker_queue = Arc::clone(&queue);
-        let worker = std::thread::Builder::new()
-            .name("serve-batcher".into())
-            .spawn(move || run_worker(worker_queue, registry, workload, monitoring, config))
-            .expect("spawn batcher thread");
-        Batcher {
-            queue,
-            worker: Some(worker),
-        }
+        let names = Names {
+            thread: "serve-batcher",
+            batch: "serve.batch",
+            drain: "serve.batch.drain",
+            occupancy: "serve.batch.occupancy",
+        };
+        let queue = Coalescer::start(
+            names,
+            config.batch_size,
+            config.batch_deadline,
+            move |jobs| run_batch(jobs, &registry, &workload, &monitoring),
+        );
+        Batcher { queue }
     }
 
     /// Enqueue a job. Returns the job back if the batcher has shut down
     /// (the caller still holds the permit and reply channel).
     pub fn submit(&self, job: Job) -> Result<(), Job> {
-        let mut state = self.queue.state.lock().unwrap();
-        if state.shutdown {
-            return Err(job);
-        }
-        state.jobs.push_back(job);
-        drop(state);
-        self.queue.wake.notify_one();
-        Ok(())
+        self.queue.submit(job)
     }
 
     /// Signal shutdown without waiting for the worker: new submits are
-    /// refused, an open batch window closes immediately, and the worker
-    /// drains — everything already queued is answered (or shed with
-    /// [`PredictError::ShuttingDown`]), never silently dropped. The worker
-    /// thread itself is joined by [`Drop`].
+    /// refused, an open batch window closes immediately, and everything
+    /// already queued is shed with [`PredictError::ShuttingDown`] —
+    /// never silently dropped. The worker thread is joined on drop.
     pub fn begin_shutdown(&self) {
-        {
-            let mut state = self.queue.state.lock().unwrap();
-            state.shutdown = true;
-        }
-        self.queue.wake.notify_all();
+        self.queue.begin_shutdown();
     }
-}
-
-impl Drop for Batcher {
-    fn drop(&mut self) {
-        {
-            let mut state = self.queue.state.lock().unwrap();
-            state.shutdown = true;
-        }
-        self.queue.wake.notify_all();
-        if let Some(worker) = self.worker.take() {
-            worker.join().ok();
-        }
-    }
-}
-
-fn run_worker(
-    queue: Arc<Queue>,
-    registry: Arc<ModelRegistry>,
-    workload: Arc<Workload>,
-    monitoring: Arc<RwLock<MonitoringConfig>>,
-    config: BatchConfig,
-) {
-    let batch_size = config.batch_size.max(1);
-    loop {
-        let batch = collect_batch(&queue, batch_size, config.batch_deadline);
-        match batch {
-            Some(jobs) => run_batch(jobs, &registry, &workload, &monitoring),
-            None => {
-                // Shutdown: fail whatever is still queued. The drain span
-                // links every abandoned request so no trace dead-ends
-                // without a recorded cause.
-                let drained: Vec<Job> = {
-                    let mut state = queue.state.lock().unwrap();
-                    state.jobs.drain(..).collect()
-                };
-                if !drained.is_empty() {
-                    let mut span = obs::span!("serve.batch.drain");
-                    for job in &drained {
-                        if job.ctx.trace_id != 0 {
-                            span.add_link(job.ctx);
-                        }
-                    }
-                    obs::counter("serve.batch.drained").add(drained.len() as u64);
-                    for job in drained {
-                        let _ = job.reply.try_send(Err(PredictError::ShuttingDown));
-                    }
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// Block until at least one job is available, then keep collecting until
-/// the batch is full or `batch_deadline` has passed since the first job
-/// was picked up. Returns `None` on shutdown with an empty queue.
-fn collect_batch(queue: &Queue, batch_size: usize, batch_deadline: Duration) -> Option<Vec<Job>> {
-    let mut state = queue.state.lock().unwrap();
-    loop {
-        if !state.jobs.is_empty() {
-            break;
-        }
-        if state.shutdown {
-            return None;
-        }
-        state = queue.wake.wait(state).unwrap();
-    }
-    let mut batch = Vec::with_capacity(batch_size);
-    while batch.len() < batch_size {
-        if let Some(job) = state.jobs.pop_front() {
-            batch.push(job);
-        } else {
-            break;
-        }
-    }
-    let window_end = Instant::now() + batch_deadline;
-    while batch.len() < batch_size && !state.shutdown {
-        let now = Instant::now();
-        if now >= window_end {
-            break;
-        }
-        let (next, timeout) = queue.wake.wait_timeout(state, window_end - now).unwrap();
-        state = next;
-        while batch.len() < batch_size {
-            if let Some(job) = state.jobs.pop_front() {
-                batch.push(job);
-            } else {
-                break;
-            }
-        }
-        if timeout.timed_out() {
-            break;
-        }
-    }
-    drop(state);
-    Some(batch)
 }
 
 fn run_batch(
-    jobs: Vec<Job>,
+    live: Vec<Job>,
     registry: &ModelRegistry,
     workload: &Workload,
     monitoring: &RwLock<MonitoringConfig>,
 ) {
-    // The batch span is the fan-in point: it runs outside any single
-    // request's context but *links* every request it coalesced.
-    let mut span = obs::span!("serve.batch");
-    for job in &jobs {
-        if job.ctx.trace_id != 0 {
-            span.add_link(job.ctx);
-        }
-    }
-    let _span = span;
-    obs::observe("serve.batch.occupancy", jobs.len() as f64);
-
-    // Drop expired jobs before doing any work on them.
-    let now = Instant::now();
-    let mut live: Vec<Job> = Vec::with_capacity(jobs.len());
-    let mut expired = 0u64;
-    for job in jobs {
-        if job.deadline.is_some_and(|d| now >= d) {
-            obs::counter("serve.deadline.expired").inc();
-            expired += 1;
-            let _ = job.reply.try_send(Err(PredictError::DeadlineExpired));
-        } else {
-            live.push(job);
-        }
-    }
-    if expired > 0 {
-        obs::flight().alert(
-            "deadline-miss",
-            &format!("{expired} job(s) expired in queue"),
-        );
-    }
-    if live.is_empty() {
-        return;
-    }
-
     // Group by requested team so each group runs one pooled predict pass
     // against exactly one pinned model version.
     let mut groups: BTreeMap<String, Vec<Job>> = BTreeMap::new();
@@ -318,9 +177,7 @@ fn run_batch(
     for (team, group) in groups {
         let Some(entry) = registry.get(&team) else {
             for job in group {
-                let _ = job
-                    .reply
-                    .try_send(Err(PredictError::UnknownTeam(team.clone())));
+                job.fail(PredictError::UnknownTeam(team.clone()));
             }
             continue;
         };

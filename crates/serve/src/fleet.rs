@@ -28,11 +28,13 @@
 
 use crate::batcher::Answer;
 use crate::registry::ModelEntry;
+use cloudsim::SimTime;
 use incident::Workload;
 use monitoring::{MonitoringConfig, MonitoringSystem};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
+use storm::{fnv1a, splitmix64, Gate, StormControl};
 
 /// Environment variable consulted for the default shard count.
 pub const SHARDS_ENV: &str = "SCOUTS_FLEET_SHARDS";
@@ -151,52 +153,6 @@ pub fn shard_of(team: &str, shards: usize) -> usize {
     best
 }
 
-/// FNV-1a over `bytes` — a stable, dependency-free string hash
-/// (`std`'s `DefaultHasher` is seeded per process; rendezvous weights
-/// must agree across processes).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Fan one incident out to every entry, shard-parallel, and collect the
-/// per-team outcomes **sorted by team name** (the canonical order the
-/// response and the master both consume — this is what makes the bytes
-/// shard-count-independent). Single-incident wrapper over
-/// [`dispatch_batch`] with the default monitoring plane and no skip set.
-pub fn dispatch(
-    entries: &[Arc<ModelEntry>],
-    workload: &Workload,
-    text: &str,
-    time: cloudsim::SimTime,
-    deadline: Option<Instant>,
-    config: &FleetConfig,
-) -> Vec<TeamOutcome> {
-    dispatch_batch(
-        entries,
-        workload,
-        &MonitoringConfig::default(),
-        &[(text, time)],
-        deadline,
-        config,
-        &[],
-    )
-    .pop()
-    .expect("one input yields one outcome set")
-}
-
 /// Fan a *batch* of incidents out to every entry in one pass: one
 /// `MonitoringSystem` build shared by every shard and every incident
 /// (the severity-batching economics — same as one predict micro-batch),
@@ -217,7 +173,7 @@ pub fn dispatch_batch(
     entries: &[Arc<ModelEntry>],
     workload: &Workload,
     mon: &MonitoringConfig,
-    inputs: &[(&str, cloudsim::SimTime)],
+    inputs: &[(&str, SimTime)],
     deadline: Option<Instant>,
     config: &FleetConfig,
     skip: &[String],
@@ -295,13 +251,54 @@ pub fn dispatch_batch(
     out
 }
 
+/// [`dispatch_batch`] behind the storm layer's circuit breakers — the
+/// one place the serving plane gates and reports a fan-out. With
+/// `storm`, the breakers are sampled **once** (open teams answer
+/// [`ScoutError::BreakerOpen`] without running) and each team's
+/// outcome is reported back once: a batch is one fan-out, so a Scout
+/// that panics on it is one breaker event, not one per incident.
+/// Deadline and breaker-skip results say nothing about the Scout itself
+/// and are not reported. Without `storm` this is `dispatch_batch`.
+pub(crate) fn dispatch_gated(
+    entries: &[Arc<ModelEntry>],
+    workload: &Workload,
+    mon: &MonitoringConfig,
+    inputs: &[(&str, SimTime)],
+    deadline: Option<Instant>,
+    config: &FleetConfig,
+    storm: Option<&StormControl>,
+) -> Vec<Vec<TeamOutcome>> {
+    let skip: Vec<String> = storm.map_or_else(Vec::new, |storm| {
+        let gate_ms = storm.now_ms();
+        entries
+            .iter()
+            .filter(|e| storm.gate(&e.team, gate_ms) == Gate::Reject)
+            .map(|e| e.team.clone())
+            .collect()
+    });
+    let outcome_sets = dispatch_batch(entries, workload, mon, inputs, deadline, config, &skip);
+    if let (Some(storm), Some(first)) = (storm, outcome_sets.first()) {
+        let report_ms = storm.now_ms();
+        for outcome in first {
+            match &outcome.result {
+                Ok(_) => storm.record_outcome(&outcome.team, true, report_ms),
+                Err(ScoutError::Panicked) | Err(ScoutError::Injected) => {
+                    storm.record_outcome(&outcome.team, false, report_ms)
+                }
+                Err(ScoutError::DeadlineExpired) | Err(ScoutError::BreakerOpen) => {}
+            }
+        }
+    }
+    outcome_sets
+}
+
 /// Run one team's Scout over the whole input batch with isolation:
 /// breaker skip, deadline re-check, injected faults, and panic
 /// containment. Always returns exactly one result per input.
 fn run_scout_batch(
     entry: &ModelEntry,
     monitoring: &MonitoringSystem<'_>,
-    inputs: &[(&str, cloudsim::SimTime)],
+    inputs: &[(&str, SimTime)],
     deadline: Option<Instant>,
     config: &FleetConfig,
     skip: &[String],
@@ -360,6 +357,34 @@ mod tests {
         }
         assert_eq!(shard_of("anything", 0), 0);
         assert_eq!(shard_of("anything", 1), 0);
+    }
+
+    #[test]
+    fn shard_assignment_and_fingerprints_are_pinned() {
+        // Shard assignment must agree across processes and releases: a
+        // moved team loses its warm caches. Pin today's outputs.
+        let names = [
+            "PhyNet",
+            "Storage",
+            "SLB",
+            "HostNet",
+            "Compute",
+            "Database",
+            "DNS",
+            "Firewall",
+            "Support",
+            "PhyNet-1",
+            "Storage-13",
+            "x",
+            "",
+        ];
+        let at = |shards| -> Vec<usize> { names.iter().map(|n| shard_of(n, shards)).collect() };
+        assert_eq!(at(4), [1, 3, 1, 0, 2, 1, 0, 2, 3, 1, 0, 1, 3]);
+        assert_eq!(at(7), [4, 5, 6, 0, 5, 1, 6, 5, 5, 4, 0, 1, 3]);
+        assert_eq!(
+            storm::fingerprint("Switch agg-3 in c1.dc1 CRC errors, retry 17", "netmon"),
+            0x391d_8489_1c0f_987c
+        );
     }
 
     #[test]

@@ -28,13 +28,14 @@
 pub mod admission;
 pub mod batcher;
 pub mod client;
+mod coalesce;
 pub mod durability;
 pub mod feedback;
 pub mod fleet;
 pub mod http;
 pub mod registry;
 pub mod server;
-pub mod stormroute;
+mod stormroute;
 
 pub use admission::{Admission, Permit};
 pub use batcher::{Answer, BatchConfig, Batcher, Job, PredictError};
@@ -45,4 +46,3 @@ pub use fleet::{FleetConfig, ScoutError, TeamOutcome};
 pub use http::{HttpError, Request, Response};
 pub use registry::{ModelEntry, ModelRegistry, RegistryChange, RegistryError, RegistryJournal};
 pub use server::{Engine, ServeConfig, Server};
-pub use stormroute::{RouteBatcher, RouteBatcherContext, RouteJob};

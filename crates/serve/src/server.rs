@@ -37,7 +37,7 @@ use crate::feedback::{FeedbackEvent, FeedbackHook, ResolveError, ServedLog, DEFA
 use crate::fleet::{self, FleetConfig, ScoutError};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::registry::ModelRegistry;
-use crate::stormroute::{RouteBatcher, RouteBatcherContext, RouteJob};
+use crate::stormroute::{self, RouteBatcher, RouteBatcherContext, RouteJob};
 use cloudsim::SimTime;
 use incident::Workload;
 use monitoring::{Dataset, MonitoringConfig};
@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
-use storm::{DedupOutcome, Gate, StormControl};
+use storm::{DedupOutcome, StormControl};
 
 /// Everything the endpoints need to answer a request.
 pub struct Engine {
@@ -249,7 +249,7 @@ impl Server {
             .as_ref()
             .filter(|s| s.batch_policy().max_batch > 1)
             .map(|s| {
-                RouteBatcher::start(RouteBatcherContext {
+                stormroute::start(RouteBatcherContext {
                     registry: Arc::clone(&engine.registry),
                     workload: Arc::clone(&engine.workload),
                     monitoring: Arc::clone(&engine.monitoring),
@@ -306,8 +306,8 @@ impl Server {
             acceptor.join().ok();
         }
         // Drain, don't drop: refuse new submits and close the open batch
-        // window immediately, so jobs already queued are answered now
-        // rather than after the full batch deadline — and never left
+        // windows immediately, so jobs already queued get their 503 now
+        // rather than after the full window — and are never left
         // unanswered.
         self.shared.batcher.begin_shutdown();
         if let Some(rb) = &self.shared.route_batcher {
@@ -945,47 +945,23 @@ fn route_fanout(
         }
     }
 
-    // Stage 4 gate: sample the breakers once per fan-out; open teams are
-    // skipped inside dispatch (no catch_unwind, no predict).
-    let skip: Vec<String> = storm
-        .map(|s| {
-            let gate_ms = s.now_ms();
-            entries
-                .iter()
-                .filter(|e| s.gate(&e.team, gate_ms) == Gate::Reject)
-                .map(|e| e.team.clone())
-                .collect()
-        })
-        .unwrap_or_default();
+    // Stage 4: the breakers gate and hear back from this fan-out exactly
+    // as they do from a coalesced batch.
     let mon = shared.engine.monitoring.read().unwrap().clone();
     let outcomes = {
         let _span = obs::span!("fleet.dispatch");
-        fleet::dispatch_batch(
+        fleet::dispatch_gated(
             &entries,
             &shared.engine.workload,
             &mon,
             &[(&input.text, input.time)],
             deadline,
             &shared.engine.fleet,
-            &skip,
+            storm.map(Arc::as_ref),
         )
         .pop()
         .expect("one input yields one outcome set")
     };
-    // Report outcomes back to the breakers. Deadline and breaker-skip
-    // results say nothing about the Scout itself, so they don't count.
-    if let Some(storm) = storm {
-        let report_ms = storm.now_ms();
-        for outcome in &outcomes {
-            match &outcome.result {
-                Ok(_) => storm.record_outcome(&outcome.team, true, report_ms),
-                Err(ScoutError::Panicked) | Err(ScoutError::Injected) => {
-                    storm.record_outcome(&outcome.team, false, report_ms)
-                }
-                Err(ScoutError::DeadlineExpired) | Err(ScoutError::BreakerOpen) => {}
-            }
-        }
-    }
     decide_and_render(outcomes, shared)
 }
 

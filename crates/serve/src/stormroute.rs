@@ -1,39 +1,36 @@
 //! The storm layer's severity-aware route coalescer.
 //!
 //! Stage 3 of storm control: low-severity (`Sev3`) routing requests
-//! queue here instead of paying a full fan-out each, and a single
-//! worker thread runs them through [`fleet::dispatch_batch`] in
-//! coalesced passes — one `MonitoringSystem` build and one
-//! `predict_many_cached` call per Scout for the whole batch, the same
-//! economics as the predict micro-batcher. The handler thread parks on
-//! a rendezvous channel exactly like `/v1/scouts/*/predict` does, then
-//! renders the decision itself; this module only produces the per-team
-//! outcome set.
-//!
-//! The circuit-breaker gate is sampled **once per batch** (a batch is
-//! one fan-out), and every outcome is reported back to the breakers
-//! once per team per batch — a panicked Scout fails the whole batch
-//! for its team, which is one breaker event, not `batch_size` of them.
+//! queue in a [`Coalescer`] instead of paying a full fan-out each, and
+//! each batch is one [`fleet::dispatch_gated`] call — one
+//! `MonitoringSystem` build, one `predict_many_cached` call per Scout,
+//! one breaker sample and one breaker report per team for the whole
+//! batch, the same economics as the predict micro-batcher. The handler
+//! thread parks on a rendezvous channel exactly like
+//! `/v1/scouts/*/predict` does, then renders the decision itself; this
+//! module only produces the per-team outcome set.
 //!
 //! Batching never changes bytes: `predict_many` over a batch is
 //! bit-identical to the same incidents predicted one at a time (the
-//! PR 2/7 contract), and outcome sets leave `dispatch_batch` sorted by
-//! team — so a Sev3 incident routed through here renders exactly the
-//! response it would have gotten from a direct fan-out.
+//! workspace's determinism contract), and outcome sets leave
+//! `dispatch_batch` sorted by team — so a Sev3 incident routed through
+//! here renders exactly the response it would have gotten from a
+//! direct fan-out.
 
 use crate::batcher::PredictError;
-use crate::fleet::{self, FleetConfig, ScoutError, TeamOutcome};
+use crate::coalesce::{Coalesced, Coalescer, Names};
+use crate::fleet::{self, FleetConfig, TeamOutcome};
 use crate::registry::ModelRegistry;
 use cloudsim::SimTime;
 use incident::Workload;
 use monitoring::MonitoringConfig;
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
-use storm::{Gate, StormControl};
+use storm::StormControl;
 
 /// One queued low-severity routing job.
-pub struct RouteJob {
+pub(crate) struct RouteJob {
     /// Incident text.
     pub text: String,
     /// Incident creation time (simulated).
@@ -48,19 +45,23 @@ pub struct RouteJob {
     pub ctx: obs::TraceContext,
 }
 
-#[derive(Default)]
-struct QueueState {
-    jobs: std::collections::VecDeque<RouteJob>,
-    shutdown: bool,
+impl Coalesced for RouteJob {
+    fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+    fn ctx(&self) -> obs::TraceContext {
+        self.ctx
+    }
+    fn fail(self, error: PredictError) {
+        let _ = self.reply.try_send(Err(error));
+    }
 }
 
-struct Queue {
-    state: Mutex<QueueState>,
-    wake: Condvar,
-}
+/// The route coalescer.
+pub(crate) type RouteBatcher = Coalescer<RouteJob>;
 
 /// Everything the worker needs to execute a coalesced fan-out.
-pub struct RouteBatcherContext {
+pub(crate) struct RouteBatcherContext {
     pub registry: Arc<ModelRegistry>,
     pub workload: Arc<Workload>,
     pub monitoring: Arc<RwLock<MonitoringConfig>>,
@@ -68,196 +69,43 @@ pub struct RouteBatcherContext {
     pub storm: Arc<StormControl>,
 }
 
-/// The route coalescer: owns the job queue and the worker thread.
-pub struct RouteBatcher {
-    queue: Arc<Queue>,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
-
-impl RouteBatcher {
-    /// Start the worker thread. Batch size and window come from the
-    /// storm config's [`storm::BatchPolicy`].
-    pub fn start(ctx: RouteBatcherContext) -> RouteBatcher {
-        let queue = Arc::new(Queue {
-            state: Mutex::new(QueueState::default()),
-            wake: Condvar::new(),
-        });
-        let worker_queue = Arc::clone(&queue);
-        let worker = std::thread::Builder::new()
-            .name("serve-stormroute".into())
-            .spawn(move || run_worker(worker_queue, ctx))
-            .expect("spawn storm route batcher thread");
-        RouteBatcher {
-            queue,
-            worker: Some(worker),
-        }
-    }
-
-    /// Enqueue a job. Returns the job back if the batcher has shut down.
-    pub fn submit(&self, job: RouteJob) -> Result<(), RouteJob> {
-        let mut state = self.queue.state.lock().unwrap();
-        if state.shutdown {
-            return Err(job);
-        }
-        state.jobs.push_back(job);
-        drop(state);
-        self.queue.wake.notify_one();
-        Ok(())
-    }
-
-    /// Refuse new submits and close the open batch window immediately;
-    /// queued jobs are answered (or shed) — never silently dropped.
-    pub fn begin_shutdown(&self) {
-        {
-            let mut state = self.queue.state.lock().unwrap();
-            state.shutdown = true;
-        }
-        self.queue.wake.notify_all();
-    }
-}
-
-impl Drop for RouteBatcher {
-    fn drop(&mut self) {
-        self.begin_shutdown();
-        if let Some(worker) = self.worker.take() {
-            worker.join().ok();
-        }
-    }
-}
-
-fn run_worker(queue: Arc<Queue>, ctx: RouteBatcherContext) {
+/// Start the route coalescer. Batch size and window come from the
+/// storm config's [`storm::BatchPolicy`].
+pub(crate) fn start(ctx: RouteBatcherContext) -> RouteBatcher {
     let policy = ctx.storm.batch_policy().clone();
-    let batch_size = policy.max_batch.max(1);
+    let names = Names {
+        thread: "serve-stormroute",
+        batch: "storm.route.batch",
+        drain: "storm.route.batch.drain",
+        occupancy: "storm.batch.occupancy",
+    };
     let window = Duration::from_millis(policy.max_wait_ms);
-    loop {
-        match collect_batch(&queue, batch_size, window) {
-            Some(jobs) => run_route_batch(jobs, &ctx),
-            None => {
-                let drained: Vec<RouteJob> = {
-                    let mut state = queue.state.lock().unwrap();
-                    state.jobs.drain(..).collect()
-                };
-                for job in drained {
-                    let _ = job.reply.try_send(Err(PredictError::ShuttingDown));
-                }
-                return;
-            }
-        }
-    }
+    Coalescer::start(names, policy.max_batch, window, move |jobs| {
+        run_route_batch(jobs, &ctx)
+    })
 }
 
-/// Block until at least one job is available, then keep collecting until
-/// the batch is full or the window has passed since the first job was
-/// picked up. Returns `None` on shutdown with an empty queue.
-fn collect_batch(queue: &Queue, batch_size: usize, window: Duration) -> Option<Vec<RouteJob>> {
-    let mut state = queue.state.lock().unwrap();
-    loop {
-        if !state.jobs.is_empty() {
-            break;
-        }
-        if state.shutdown {
-            return None;
-        }
-        state = queue.wake.wait(state).unwrap();
+fn run_route_batch(live: Vec<RouteJob>, ctx: &RouteBatcherContext) {
+    if live.len() > 1 {
+        obs::counter("storm.batch.coalesced").add(live.len() as u64 - 1);
     }
-    let mut batch = Vec::with_capacity(batch_size);
-    while batch.len() < batch_size {
-        match state.jobs.pop_front() {
-            Some(job) => batch.push(job),
-            None => break,
-        }
-    }
-    let window_end = Instant::now() + window;
-    while batch.len() < batch_size && !state.shutdown {
-        let now = Instant::now();
-        if now >= window_end {
-            break;
-        }
-        let (next, timeout) = queue.wake.wait_timeout(state, window_end - now).unwrap();
-        state = next;
-        while batch.len() < batch_size {
-            match state.jobs.pop_front() {
-                Some(job) => batch.push(job),
-                None => break,
-            }
-        }
-        if timeout.timed_out() {
-            break;
-        }
-    }
-    drop(state);
-    Some(batch)
-}
-
-fn run_route_batch(jobs: Vec<RouteJob>, ctx: &RouteBatcherContext) {
-    let mut span = obs::span!("storm.route.batch");
-    for job in &jobs {
-        if job.ctx.trace_id != 0 {
-            span.add_link(job.ctx);
-        }
-    }
-    let _span = span;
-    obs::observe("storm.batch.occupancy", jobs.len() as f64);
-    if jobs.len() > 1 {
-        obs::counter("storm.batch.coalesced").add(jobs.len() as u64 - 1);
-    }
-
-    // Answer expired jobs without running them.
-    let now = Instant::now();
-    let mut live: Vec<RouteJob> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        if job.deadline.is_some_and(|d| now >= d) {
-            obs::counter("serve.deadline.expired").inc();
-            let _ = job.reply.try_send(Err(PredictError::DeadlineExpired));
-        } else {
-            live.push(job);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-
     let entries = ctx.registry.snapshot();
-    // The whole batch shares one breaker snapshot: a batch is one
-    // fan-out, gated once per team.
-    let now_ms = ctx.storm.now_ms();
-    let skip: Vec<String> = entries
-        .iter()
-        .filter(|e| ctx.storm.gate(&e.team, now_ms) == Gate::Reject)
-        .map(|e| e.team.clone())
-        .collect();
     let mon = ctx.monitoring.read().unwrap().clone();
     let inputs: Vec<(&str, SimTime)> = live.iter().map(|j| (j.text.as_str(), j.time)).collect();
-    // Per-job deadlines were checked above; the batch itself runs
-    // undeadlined (Sev3 is the severity class that tolerates queueing).
-    let mut outcome_sets = fleet::dispatch_batch(
+    // Per-job deadlines were checked at batch start; the batch itself
+    // runs undeadlined (Sev3 is the severity class that tolerates
+    // queueing).
+    let outcome_sets = fleet::dispatch_gated(
         &entries,
         &ctx.workload,
         &mon,
         &inputs,
         None,
         &ctx.fleet,
-        &skip,
+        Some(&ctx.storm),
     );
-
-    // One breaker report per team per batch. Deadline and breaker-skip
-    // outcomes are not evidence about the Scout itself.
-    if let Some(first) = outcome_sets.first() {
-        let report_ms = ctx.storm.now_ms();
-        for outcome in first {
-            match &outcome.result {
-                Ok(_) => ctx.storm.record_outcome(&outcome.team, true, report_ms),
-                Err(ScoutError::Panicked) | Err(ScoutError::Injected) => {
-                    ctx.storm.record_outcome(&outcome.team, false, report_ms)
-                }
-                Err(ScoutError::DeadlineExpired) | Err(ScoutError::BreakerOpen) => {}
-            }
-        }
-    }
-
     debug_assert_eq!(outcome_sets.len(), live.len());
-    for job in live.into_iter().rev() {
-        let outcomes = outcome_sets.pop().unwrap_or_default();
+    for (job, outcomes) in live.into_iter().zip(outcome_sets) {
         let _ = job.reply.try_send(Ok(outcomes));
     }
 }

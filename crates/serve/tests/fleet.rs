@@ -293,14 +293,15 @@ proptest! {
         let text = "Switch agg-3 in c1.dc1 reporting CRC errors and packet loss";
         let time = cloudsim::SimTime::from_days(10);
 
-        let sequential = serve::fleet::dispatch(
-            &entries, &world, text, time, None,
-            &FleetConfig { shards: 1, suggestions: 3, fail_teams: fail_teams.clone() },
-        );
-        let sharded = serve::fleet::dispatch(
-            &entries, &world, text, time, None,
-            &FleetConfig { shards, suggestions: 3, fail_teams },
-        );
+        let mon = MonitoringConfig::default();
+        let sequential = serve::fleet::dispatch_batch(
+            &entries, &world, &mon, &[(text, time)], None,
+            &FleetConfig { shards: 1, suggestions: 3, fail_teams: fail_teams.clone() }, &[],
+        ).pop().unwrap();
+        let sharded = serve::fleet::dispatch_batch(
+            &entries, &world, &mon, &[(text, time)], None,
+            &FleetConfig { shards, suggestions: 3, fail_teams }, &[],
+        ).pop().unwrap();
         prop_assert_eq!(render_outcomes(&sequential), render_outcomes(&sharded));
 
         // Outcomes are sorted by team and cover exactly the entry set.

@@ -11,6 +11,8 @@
 //! 2. No span is ever orphaned: under concurrent traced predicts racing
 //!    a model hot-swap and a shutdown drain, every captured span's
 //!    parent chain resolves to the trace root.
+//! 3. A shutdown drain of the Sev3 route coalescer answers every queued
+//!    route with a 503 and links each one from the drain span.
 
 use cloudsim::{SimDuration, Team};
 use incident::{Workload, WorkloadConfig};
@@ -22,7 +24,8 @@ use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
 use serve::{Client, Engine, ModelRegistry, ServeConfig, Server};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use storm::{BatchPolicy, StormConfig, StormControl};
 
 fn small_workload() -> Arc<Workload> {
     static WORLD: OnceLock<Arc<Workload>> = OnceLock::new();
@@ -319,4 +322,88 @@ fn no_span_orphaned_under_hot_swap_and_shutdown_drain() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sev3 routes waiting in an open coalescing window when shutdown
+/// starts are drained, not dropped: each gets a prompt 503, and the
+/// drain span links every one of them.
+#[test]
+fn shutdown_drains_open_sev3_route_window_with_links() {
+    let _guard = SINK_LOCK.lock().unwrap();
+
+    // A window far longer than the test: nothing runs until shutdown.
+    let storm = Arc::new(StormControl::new(StormConfig {
+        batch: BatchPolicy {
+            max_batch: 8,
+            max_wait_ms: 60_000,
+        },
+        ..StormConfig::default()
+    }));
+    let registry = Arc::new(ModelRegistry::new());
+    for team in ["PhyNet", "Storage"] {
+        registry
+            .register(team, test_scout(), "test")
+            .expect("register test model");
+    }
+    let engine = Engine::new(registry, small_workload()).with_storm(storm);
+    let server = Server::start(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+
+    let (sink, lines) = obs::sink::MemorySink::new();
+    obs::global().set_trace_sink(Some(Box::new(sink)));
+
+    let traces: Vec<u64> = (0..3u64).map(|i| 0x5e73_d000 + i).collect();
+    let clients: Vec<_> = traces
+        .iter()
+        .map(|&trace| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let body = obs::json::Obj::new()
+                    .str("text", "Switch agg-3 in c1.dc1 reporting CRC errors")
+                    .str("source", &format!("drain-{trace:x}"))
+                    .uint("severity", 3)
+                    .finish();
+                let id = obs::trace::hex(trace);
+                Client::connect(&addr).unwrap().request(
+                    "POST",
+                    "/v1/route",
+                    &[("X-Trace-Id", id.as_str())],
+                    body.as_bytes(),
+                )
+            })
+        })
+        .collect();
+    // Let every route land in the open window.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let started = Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(3),
+        "shutdown must not wait out the window (took {elapsed:?})"
+    );
+    for client in clients {
+        let resp = client
+            .join()
+            .unwrap()
+            .expect("a queued route is answered, never dropped");
+        assert_eq!(resp.status, 503, "{}", resp.body_text());
+    }
+    obs::global().set_trace_sink(None);
+
+    let linked: BTreeSet<u64> = lines
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|l| SpanEvent::from_json(l))
+        .filter(|s| s.name == "storm.route.batch.drain")
+        .flat_map(|s| s.links.into_iter().map(|(trace, _)| trace))
+        .collect();
+    for trace in traces {
+        assert!(
+            linked.contains(&trace),
+            "route {trace:#x} not linked from the drain span: {linked:?}"
+        );
+    }
 }

@@ -15,9 +15,9 @@
 //! Tokens feed FNV-1a with a separator byte (so token *boundaries*
 //! matter: `["ab","c"]` ≠ `["a","bc"]`), the source string is mixed in
 //! the same way, and the result goes through the splitmix64 finalizer —
-//! the same stable, process-independent hashing idiom `featcache` and
-//! `serve::fleet` use. No per-process seeding: two servers agree on
-//! every fingerprint.
+//! the same stable, process-independent hashing idiom `featcache` uses,
+//! and the one `serve::fleet` shards with. No per-process seeding: two
+//! servers agree on every fingerprint.
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -28,7 +28,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 const SEP: u8 = 0x1f;
 
 /// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -37,6 +37,12 @@ fn splitmix64(mut x: u64) -> u64 {
 
 fn fnv1a_byte(h: u64, b: u8) -> u64 {
     (h ^ b as u64).wrapping_mul(FNV_PRIME)
+}
+
+/// FNV-1a over `bytes` — a stable, dependency-free string hash
+/// (`std`'s `DefaultHasher` is seeded per process).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv1a_byte(h, b))
 }
 
 /// Is this token alert *content* (kept) or firing debris (dropped)?

@@ -45,7 +45,7 @@ pub use batch::{BatchPolicy, Severity};
 pub use breaker::{BreakerConfig, BreakerSet, BreakerState, Gate};
 pub use clock::{Clock, ManualClock};
 pub use dedup::{DedupConfig, DedupOutcome, DedupTable};
-pub use fingerprint::{fingerprint, normalize};
+pub use fingerprint::{fingerprint, fnv1a, normalize, splitmix64};
 pub use throttle::{SourceThrottle, ThrottleConfig};
 
 use std::sync::Mutex;
