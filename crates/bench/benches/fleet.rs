@@ -1,17 +1,22 @@
 //! Fleet routing-plane benchmark, emitted as `BENCH_fleet.json` at the
 //! workspace root.
 //!
-//! For each fleet size (8 / 32 / 128 synthetic teams) this measures:
+//! Each row is a fleet of synthetic teams. Replica rows (8 / 32 / 128
+//! teams) train every base team under one build config, so the whole
+//! fleet shares one featurization key; the mixed row cycles each base
+//! team's replicas through three build configs (the base, one with a
+//! data set disabled, one with a shorter look-back), so the fan-out
+//! featurizes each incident once per key. For each row this measures:
 //!
 //! * **throughput + latency** of `POST /v1/route` under a concurrent
 //!   client fleet — every request fans the incident out to all N
 //!   registered Scouts across the rendezvous shards;
-//! * **fleet accuracy** against the per-Scout sequential baseline: the
-//!   same incidents dispatched with `shards = 1` (one Scout after
-//!   another) and with the sharded plane, routed through the same
-//!   string-keyed Scout Master. The dispatch outcomes are asserted
-//!   bit-identical, so the sharded accuracy can never trail the
-//!   sequential baseline.
+//! * **fleet accuracy** against an independent per-Scout baseline: each
+//!   Scout's own `predict_many` on the incident, one Scout after
+//!   another, never touching `dispatch_batch`. Both outcome sets go
+//!   through the same string-keyed Scout Master. The dispatch outcomes
+//!   are asserted bit-identical to the baseline (verdict, model,
+//!   confidence bits), so the sharded accuracy can never trail it.
 //!
 //! `BENCH_SMOKE=1` shrinks the world, fleet sizes, and request counts —
 //! used by `scripts/check.sh --bench-smoke` and CI.
@@ -20,10 +25,14 @@ use cloudsim::{DependencyGraph, SimDuration, Team};
 use featcache::FeatCache;
 use incident::{Workload, WorkloadConfig};
 use ml::forest::ForestConfig;
-use monitoring::{MonitoringConfig, MonitoringSystem};
+use monitoring::{Dataset, MonitoringConfig, MonitoringSystem};
 use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
 use scoutmaster::{FleetAnswer, FleetDecision, FleetMaster};
-use serve::{Client, Engine, FleetConfig, ModelEntry, ModelRegistry, ServeConfig, Server};
+use serve::{
+    Answer, Client, Engine, FleetConfig, ModelEntry, ModelRegistry, ServeConfig, Server,
+    TeamOutcome,
+};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,9 +57,34 @@ fn bench_workload(smoke: bool) -> Arc<Workload> {
     Arc::new(Workload::generate(config))
 }
 
-/// One trained model per internal base team, from a single shared
-/// featurization pass (the labels are the only per-team difference).
-fn base_models(world: &Workload) -> Vec<(Team, String)> {
+/// The build configs of the mixed fleet; the replica fleets use the
+/// first. Each one changes what featurization reads.
+fn build_variants() -> Vec<ScoutBuildConfig> {
+    let base = ScoutBuildConfig {
+        forest: ForestConfig {
+            n_trees: 8,
+            ..ForestConfig::default()
+        },
+        cluster_train_cap: 10,
+        ..ScoutBuildConfig::default()
+    };
+    vec![
+        base.clone(),
+        ScoutBuildConfig {
+            disabled_datasets: vec![Dataset::PingStats],
+            ..base.clone()
+        },
+        ScoutBuildConfig {
+            lookback: SimDuration::hours(1),
+            ..base
+        },
+    ]
+}
+
+/// One trained model text per internal base team under `build`, from a
+/// single shared featurization pass (the labels are the only per-team
+/// difference).
+fn base_models(world: &Workload, build: &ScoutBuildConfig) -> Vec<(Team, String)> {
     let bases: Vec<Team> = cloudsim::TeamRegistry::new().internal_teams().collect();
     let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
     let examples: Vec<Example> = world
@@ -60,15 +94,7 @@ fn base_models(world: &Workload) -> Vec<(Team, String)> {
         .collect();
     let owners: Vec<Team> = world.incidents.iter().map(|i| i.owner).collect();
     let config = ScoutConfig::phynet();
-    let build = ScoutBuildConfig {
-        forest: ForestConfig {
-            n_trees: 8,
-            ..ForestConfig::default()
-        },
-        cluster_train_cap: 10,
-        ..ScoutBuildConfig::default()
-    };
-    let corpus = Scout::prepare(&config, &build, &examples, &mon);
+    let corpus = Scout::prepare(&config, build, &examples, &mon);
     bases
         .into_iter()
         .map(|base| {
@@ -81,30 +107,56 @@ fn base_models(world: &Workload) -> Vec<(Team, String)> {
         .collect()
 }
 
-fn fleet_team_name(bases: &[(Team, String)], i: usize) -> String {
-    cloudsim::synthetic_team_name(bases[i % bases.len()].0, i / bases.len())
+/// One bench fleet: `(team name, model text)` per team, registered in
+/// this order.
+struct Fleet {
+    teams: Vec<(String, String)>,
+    /// The base teams with a Scout.
+    scouted: Vec<Team>,
 }
 
-fn fleet_entries(bases: &[(Team, String)], n: usize) -> Vec<Arc<ModelEntry>> {
-    (0..n)
+/// `n` teams: replica `r` of base `b` is `{b}-{r}` (as
+/// `scoutctl serve --synthetic-teams` names them) and runs the base's
+/// model under variant `r % variants.len()`.
+fn fleet(variants: &[Vec<(Team, String)>], n: usize) -> Fleet {
+    let bases = &variants[0];
+    let teams = (0..n)
         .map(|i| {
+            let (base, replica) = (i % bases.len(), i / bases.len());
+            let (team, text) = &variants[replica % variants.len()][base];
+            (cloudsim::synthetic_team_name(*team, replica), text.clone())
+        })
+        .collect();
+    Fleet {
+        teams,
+        scouted: bases.iter().take(n).map(|(t, _)| *t).collect(),
+    }
+}
+
+fn fleet_entries(fleet: &Fleet) -> Vec<Arc<ModelEntry>> {
+    let cache = Arc::new(FeatCache::new(16 * 1024 * 1024));
+    fleet
+        .teams
+        .iter()
+        .enumerate()
+        .map(|(i, (team, text))| {
             Arc::new(ModelEntry {
-                team: fleet_team_name(bases, i),
+                team: team.clone(),
                 version: i as u64 + 1,
                 source: "bench".into(),
-                scout: Scout::from_text(&bases[i % bases.len()].1).expect("model round-trip"),
-                feat_cache: FeatCache::new(16 * 1024 * 1024),
+                scout: Scout::from_text(text).expect("model round-trip"),
+                feat_cache: Arc::clone(&cache),
             })
         })
         .collect()
 }
 
-fn fleet_registry(bases: &[(Team, String)], n: usize) -> Arc<ModelRegistry> {
+fn fleet_registry(fleet: &Fleet) -> Arc<ModelRegistry> {
     let registry = Arc::new(ModelRegistry::new());
-    for i in 0..n {
-        let scout = Scout::from_text(&bases[i % bases.len()].1).expect("model round-trip");
+    for (team, text) in &fleet.teams {
+        let scout = Scout::from_text(text).expect("model round-trip");
         registry
-            .register(&fleet_team_name(bases, i), scout, "bench")
+            .register(team, scout, "bench")
             .expect("register bench model");
     }
     registry
@@ -131,14 +183,9 @@ struct HttpStats {
     requests: usize,
 }
 
-fn run_http(
-    bases: &[(Team, String)],
-    world: &Arc<Workload>,
-    n: usize,
-    requests: usize,
-) -> HttpStats {
-    let registry = fleet_registry(bases, n);
-    let engine = Engine::new(registry, Arc::clone(world))
+fn run_http(fleet: &Fleet, world: &Arc<Workload>, requests: usize) -> HttpStats {
+    let n = fleet.teams.len();
+    let engine = Engine::new(fleet_registry(fleet), Arc::clone(world))
         .with_master(FleetMaster::with_graph(DependencyGraph::synthetic_fleet(n)))
         .with_fleet(FleetConfig {
             shards: SHARDS,
@@ -157,9 +204,9 @@ fn run_http(
     let addr = server.addr().to_string();
     let bodies = Arc::new(sample_bodies(world, requests));
 
-    // Warm up the thread pool and connection paths (feature caches stay
-    // per-entry, so the measured pass still pays featurization once per
-    // distinct incident text).
+    // Warm up the thread pool and connection paths (the chunk cache only
+    // holds the warm-up incident, so the measured pass still pays
+    // featurization once per distinct incident text and config).
     let mut warm = Client::connect(&addr).expect("warmup connect");
     assert!(warm
         .post_json("/v1/route", &bodies[0])
@@ -211,19 +258,54 @@ struct AccuracyStats {
     bit_identical: bool,
 }
 
-fn outcome_key(outcomes: &[serve::TeamOutcome]) -> String {
+fn outcome_key(outcomes: &[TeamOutcome]) -> String {
     outcomes
         .iter()
         .map(|o| match &o.result {
-            Ok(a) => format!("{} {:.17}\n", a.team, a.prediction.confidence),
+            Ok(a) => format!(
+                "{} {:?} {:?} {:016x}\n",
+                a.team,
+                a.prediction.verdict,
+                a.prediction.model,
+                a.prediction.confidence.to_bits()
+            ),
             Err(e) => format!("{} ERR {e}\n", o.team),
         })
         .collect()
 }
 
+/// The baseline: every Scout's own `predict_many` on the incident, one
+/// after another, sorted by team like `dispatch_batch` output.
+fn per_scout_outcomes(
+    entries: &[Arc<ModelEntry>],
+    mon: &MonitoringSystem<'_>,
+    input: (&str, cloudsim::SimTime),
+) -> Vec<TeamOutcome> {
+    let mut outcomes: Vec<TeamOutcome> = entries
+        .iter()
+        .map(|entry| {
+            let prediction = entry
+                .scout
+                .predict_many(&[input], mon)
+                .pop()
+                .expect("one input yields one prediction");
+            TeamOutcome {
+                team: entry.team.clone(),
+                result: Ok(Answer {
+                    team: entry.team.clone(),
+                    model_version: entry.version,
+                    prediction,
+                }),
+            }
+        })
+        .collect();
+    outcomes.sort_by(|a, b| a.team.cmp(&b.team));
+    outcomes
+}
+
 fn decision_hits(
     master: &FleetMaster,
-    outcomes: &[serve::TeamOutcome],
+    outcomes: &[TeamOutcome],
     owner: Team,
     scouted: &[Team],
 ) -> bool {
@@ -244,24 +326,15 @@ fn decision_hits(
     }
 }
 
-fn run_accuracy(
-    bases: &[(Team, String)],
-    world: &Arc<Workload>,
-    n: usize,
-    sample: usize,
-) -> AccuracyStats {
-    let entries = fleet_entries(bases, n);
-    let master = FleetMaster::with_graph(DependencyGraph::synthetic_fleet(n));
-    let scouted: Vec<Team> = bases.iter().take(n).map(|(t, _)| *t).collect();
-    let sharded_config = FleetConfig {
+fn run_accuracy(fleet: &Fleet, world: &Arc<Workload>, sample: usize) -> AccuracyStats {
+    let entries = fleet_entries(fleet);
+    let master = FleetMaster::with_graph(DependencyGraph::synthetic_fleet(entries.len()));
+    let config = FleetConfig {
         shards: SHARDS,
         suggestions: 5,
         fail_teams: Vec::new(),
     };
-    let sequential_config = FleetConfig {
-        shards: 1,
-        ..sharded_config.clone()
-    };
+    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
 
     let total = world.incidents.len();
     let sample = sample.min(total);
@@ -271,31 +344,23 @@ fn run_accuracy(
     for k in 0..sample {
         let incident = &world.incidents[k * total / sample];
         let text = incident.text();
+        let input = (text.as_str(), incident.created_at);
         let sharded = serve::fleet::dispatch_batch(
             &entries,
             world,
             &MonitoringConfig::default(),
-            &[(&text, incident.created_at)],
+            &[input],
             None,
-            &sharded_config,
+            &config,
             &[],
         )
         .pop()
         .expect("one input yields one outcome set");
-        let sequential = serve::fleet::dispatch_batch(
-            &entries,
-            world,
-            &MonitoringConfig::default(),
-            &[(&text, incident.created_at)],
-            None,
-            &sequential_config,
-            &[],
-        )
-        .pop()
-        .expect("one input yields one outcome set");
+        let sequential = per_scout_outcomes(&entries, &mon, input);
         bit_identical &= outcome_key(&sharded) == outcome_key(&sequential);
-        fleet_hits += decision_hits(&master, &sharded, incident.owner, &scouted) as usize;
-        sequential_hits += decision_hits(&master, &sequential, incident.owner, &scouted) as usize;
+        fleet_hits += decision_hits(&master, &sharded, incident.owner, &fleet.scouted) as usize;
+        sequential_hits +=
+            decision_hits(&master, &sequential, incident.owner, &fleet.scouted) as usize;
     }
     AccuracyStats {
         fleet_accuracy: fleet_hits as f64 / sample as f64,
@@ -307,38 +372,61 @@ fn run_accuracy(
 
 fn main() {
     let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    // (teams, http requests, accuracy sample) per fleet size.
-    let sizes: &[(usize, usize, usize)] = if smoke {
-        &[(8, 12, 12)]
+    // (kind, teams, http requests, accuracy sample) per row.
+    let rows_spec: &[(&str, usize, usize, usize)] = if smoke {
+        &[("replica", 8, 12, 12), ("mixed", 27, 12, 6)]
     } else {
-        &[(8, 64, 32), (32, 32, 32), (128, 16, 24)]
+        &[
+            ("replica", 8, 128, 32),
+            ("replica", 32, 96, 32),
+            ("replica", 128, 64, 24),
+            ("mixed", 32, 96, 32),
+        ]
     };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let world = bench_workload(smoke);
+    let builds = build_variants();
     eprintln!(
-        "training {} base models on {} incidents…",
+        "training {} base models × {} build configs on {} incidents…",
         cloudsim::TeamRegistry::new().internal_teams().count(),
+        builds.len(),
         world.incidents.len()
     );
-    let bases = base_models(&world);
+    let variants: Vec<Vec<(Team, String)>> =
+        builds.iter().map(|b| base_models(&world, b)).collect();
 
     let mut rows = String::new();
-    for (i, &(n, requests, sample)) in sizes.iter().enumerate() {
-        eprintln!("fleet size {n}: HTTP run ({requests} requests)…");
-        let http = run_http(&bases, &world, n, requests);
-        eprintln!("fleet size {n}: accuracy run ({sample} incidents)…");
-        let acc = run_accuracy(&bases, &world, n, sample);
-        assert!(acc.bit_identical, "sharded dispatch diverged at {n} teams");
+    for (i, &(kind, n, requests, sample)) in rows_spec.iter().enumerate() {
+        let fleet = match kind {
+            "replica" => fleet(&variants[..1], n),
+            _ => fleet(&variants, n),
+        };
+        let keys = fleet_entries(&fleet)
+            .iter()
+            .map(|e| e.scout.featurization_key().to_string())
+            .collect::<BTreeSet<_>>()
+            .len();
+        eprintln!(
+            "{kind} fleet of {n} ({keys} featurization keys): HTTP run ({requests} requests)…"
+        );
+        let http = run_http(&fleet, &world, requests);
+        eprintln!("{kind} fleet of {n}: accuracy run ({sample} incidents)…");
+        let acc = run_accuracy(&fleet, &world, sample);
+        assert!(
+            acc.bit_identical,
+            "dispatch diverged from the per-Scout baseline ({kind}, {n} teams)"
+        );
         assert!(
             acc.fleet_accuracy >= acc.sequential_accuracy,
-            "fleet accuracy fell below the sequential baseline at {n} teams"
+            "fleet accuracy fell below the per-Scout baseline ({kind}, {n} teams)"
         );
         println!(
-            "teams {n:>4}   {:>7.2} req/s   p50 {:>8.1} ms   p99 {:>8.1} ms   accuracy {:.3} (sequential {:.3})",
+            "{kind:<8} teams {n:>4} keys {keys}   {:>7.2} req/s   p50 {:>8.1} ms   p99 {:>8.1} ms   accuracy {:.3} (per-Scout {:.3})",
             http.throughput_rps, http.p50_ms, http.p99_ms, acc.fleet_accuracy, acc.sequential_accuracy
         );
         rows.push_str(&format!(
-            "    {{\"teams\": {n}, \"requests\": {}, \"throughput_rps\": {:.2}, \"p50_ms\": {:.1}, \"p99_ms\": {:.1}, \"accuracy_sample\": {}, \"fleet_accuracy\": {:.4}, \"sequential_accuracy\": {:.4}, \"bit_identical\": {}}}{}\n",
+            "    {{\"fleet\": \"{kind}\", \"teams\": {n}, \"featurization_keys\": {keys}, \"requests\": {}, \"throughput_rps\": {:.2}, \"p50_ms\": {:.1}, \"p99_ms\": {:.1}, \"accuracy_sample\": {}, \"fleet_accuracy\": {:.4}, \"sequential_accuracy\": {:.4}, \"bit_identical\": {}}}{}\n",
             http.requests,
             http.throughput_rps,
             http.p50_ms,
@@ -347,12 +435,12 @@ fn main() {
             acc.fleet_accuracy,
             acc.sequential_accuracy,
             acc.bit_identical,
-            if i + 1 < sizes.len() { "," } else { "" }
+            if i + 1 < rows_spec.len() { "," } else { "" }
         ));
     }
 
     let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"shards\": {SHARDS},\n  \"concurrency\": {CONCURRENCY},\n  \"sizes\": [\n{rows}  ]\n}}\n"
+        "{{\n  \"smoke\": {smoke},\n  \"nproc\": {nproc},\n  \"shards\": {SHARDS},\n  \"concurrency\": {CONCURRENCY},\n  \"sequential_baseline\": \"per-Scout predict_many\",\n  \"sizes\": [\n{rows}  ]\n}}\n"
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

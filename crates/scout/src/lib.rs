@@ -43,7 +43,9 @@ pub use explain::Explanation;
 pub use extract::{ExtractedComponents, Extractor};
 pub use features::{Aggregation, FeatureLayout, Featurizer};
 pub use retrain::{RetrainConfig, RetrainSchedule, WindowPolicy};
-pub use scout::{ModelUsed, PathChoice, Prediction, Scout, ScoutBuildConfig, Verdict};
+pub use scout::{
+    ModelUsed, PathChoice, Prediction, PreparedCorpus, Scout, ScoutBuildConfig, Verdict,
+};
 pub use selector::{Selector, SelectorKind};
 
 use cloudsim::SimTime;

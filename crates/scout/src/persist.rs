@@ -11,7 +11,7 @@
 use crate::config::ScoutConfig;
 use crate::cpdplus::{CpdFeatureLayout, CpdPlus};
 use crate::features::{Aggregation, FeatureLayout};
-use crate::scout::{Scout, ScoutBuildConfig};
+use crate::scout::{featurization_key, Scout, ScoutBuildConfig};
 use crate::selector::{Selector, SelectorKind};
 use cloudsim::SimDuration;
 use ml::cpd::CpdConfig;
@@ -193,6 +193,7 @@ impl Scout {
             )));
         }
         Ok(Scout {
+            featurization_key: featurization_key(&config, &build),
             config,
             build,
             layout,

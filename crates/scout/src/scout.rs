@@ -204,6 +204,25 @@ pub struct Scout {
     pub(crate) forest: RandomForest,
     pub(crate) cpd: CpdPlus,
     pub(crate) selector: Selector,
+    /// [`Scout::featurization_key`], computed once at train/load.
+    pub(crate) featurization_key: String,
+}
+
+/// Everything [`Scout::prepare_traced_on`] reads from a Scout's config and
+/// build settings, rendered canonically: the config DSL, the look-back
+/// window, the aggregation, the CPD+ settings (few-device threshold,
+/// permutation seed and detector) and the disabled data sets. Two Scouts
+/// with equal keys featurize any input to identical bytes. `{:?}` of an
+/// `f64` round-trips exactly, so string equality is value equality.
+pub(crate) fn featurization_key(config: &ScoutConfig, build: &ScoutBuildConfig) -> String {
+    format!(
+        "{}lookback {:?}\naggregation {:?}\ncpdplus {:?}\ndisabled {:?}\n",
+        config.to_source(),
+        build.lookback,
+        build.aggregation,
+        build.cpdplus,
+        build.disabled_datasets,
+    )
 }
 
 impl Scout {
@@ -411,6 +430,7 @@ impl Scout {
         }
 
         Scout {
+            featurization_key: featurization_key(&config, &build),
             config,
             build,
             layout: corpus.layout.clone(),
@@ -441,6 +461,15 @@ impl Scout {
     /// The underlying forest (for importance analyses).
     pub fn forest(&self) -> &RandomForest {
         &self.forest
+    }
+
+    /// What this Scout's featurization depends on, as one canonical
+    /// string. A [`PreparedCorpus`] from [`Scout::prepare_many`] on one
+    /// Scout can be classified by any Scout whose key is equal (compare
+    /// the strings, not a hash of them): replicas and Scouts that differ
+    /// only in labels, forests or selectors share one featurization.
+    pub fn featurization_key(&self) -> &str {
+        &self.featurization_key
     }
 
     /// Predict from a prepared example, forcing a specific pipeline path
@@ -553,6 +582,9 @@ impl Scout {
     /// serving batcher). Each input's featurization and classification
     /// spans — and its audit record — carry that input's trace id.
     /// Predictions are bit-identical whether `ctxs` is given or not.
+    ///
+    /// This is [`Scout::prepare_many`] followed by
+    /// [`Scout::predict_many_prepared`].
     pub fn predict_many_traced(
         &self,
         inputs: &[(&str, SimTime)],
@@ -561,11 +593,28 @@ impl Scout {
         ctxs: Option<&[obs::TraceContext]>,
     ) -> Vec<Prediction> {
         let _span = obs::span!("scout.predict_many");
+        let corpus = self.prepare_many(inputs, monitoring, cache, ctxs);
+        self.predict_many_prepared(&corpus, monitoring, ctxs)
+    }
+
+    /// Stage 1 of [`Scout::predict_many_traced`]: featurize raw
+    /// `(text, time)` inputs under this Scout's config in one
+    /// [`Scout::prepare`] pass. The corpus depends on the Scout only
+    /// through [`Scout::featurization_key`], so a fleet featurizes an
+    /// incident once per key and hands the corpus to every Scout with
+    /// that key.
+    pub fn prepare_many(
+        &self,
+        inputs: &[(&str, SimTime)],
+        monitoring: &MonitoringSystem<'_>,
+        cache: Option<&featcache::FeatCache>,
+        ctxs: Option<&[obs::TraceContext]>,
+    ) -> PreparedCorpus {
         let examples: Vec<Example> = inputs
             .iter()
             .map(|&(text, t)| Example::new(text, t, false))
             .collect();
-        let corpus = Scout::prepare_traced_on(
+        Scout::prepare_traced_on(
             pool::Pool::global(),
             &self.config,
             &self.build,
@@ -573,7 +622,20 @@ impl Scout {
             monitoring,
             cache,
             ctxs,
-        );
+        )
+    }
+
+    /// Stage 2 of [`Scout::predict_many_traced`]: classify a corpus from
+    /// [`Scout::prepare_many`] on this Scout or on any Scout with an equal
+    /// [`Scout::featurization_key`]. `ctxs` is index-aligned with the
+    /// corpus items, as for `prepare_many`.
+    pub fn predict_many_prepared(
+        &self,
+        corpus: &PreparedCorpus,
+        monitoring: &MonitoringSystem<'_>,
+        ctxs: Option<&[obs::TraceContext]>,
+    ) -> Vec<Prediction> {
+        debug_assert_eq!(corpus.layout.len(), self.layout.len());
         // Columnar forest lane: decide routing per item (pure), gather
         // every forest-routed feature row into one contiguous matrix,
         // and score it in a single tiled pass over the flattened forest.

@@ -176,8 +176,10 @@ commands:
   serve                    run the online incident-routing HTTP server
   loadgen                  drive a running server, print throughput and latency
   fleetgen                 replay the multi-team incident trace through a
-                           running fleet's /v1/route, print throughput and
-                           routing accuracy (CI gate via --min-accuracy)
+                           running fleet's /v1/route, each incident under its
+                           own alert source (cri or monitor-<team>), print
+                           throughput and routing accuracy (CI gate via
+                           --min-accuracy)
   stormgen                 replay an adversarial alert storm (duplicate
                            bursts, gray failures, cascades, mid-stream
                            monitoring deprecation) against /v1/route and
@@ -219,8 +221,8 @@ serve options:
   --batch-deadline-ms MS   how long an open batch waits for more (default 2)
   --queue-cap N            max outstanding requests before shedding (default 64)
   --max-connections N      max concurrent connections (default 128)
-  --feat-cache-mb MB       per-model feature-chunk cache budget (default 64;
-                           0 disables caching)
+  --feat-cache-mb MB       feature-chunk cache budget shared by every
+                           registered Scout (default 64; 0 disables caching)
   --max-runtime-secs S     stop after S seconds (default: run until killed)
   --trace-sample N         flight-record 1 in N minted traces (default 64;
                            0 = never, 1 = every request; an incoming
@@ -1104,10 +1106,11 @@ fn loadgen(args: &Args) -> Result<(), ArgError> {
 /// `scoutctl fleetgen`: trace-driven multi-team replay against a running
 /// fleet server. Regenerates the same synthetic workload the server
 /// booted with (same `--seed`/`--faults-per-day`), replays a burst of
-/// incidents — each with its ground-truth owning team — through
-/// `POST /v1/route` at the requested concurrency, and reports routing
-/// throughput, latency, fleet-level accuracy, and the top-k suggestion
-/// hit rate. `--min-accuracy` / `--max-unmapped` turn the report into a
+/// incidents — each with its ground-truth owning team, posted under
+/// its own alert source as the storm layer throttles per source —
+/// through `POST /v1/route` at the requested concurrency, and reports
+/// routing throughput, latency, fleet-level accuracy, and the top-k
+/// suggestion hit rate. `--min-accuracy` / `--max-unmapped` turn the report into a
 /// CI gate (non-zero exit on violation).
 ///
 /// Accuracy is judged at *base-team* granularity (replica Scouts of one
@@ -1252,6 +1255,7 @@ fn fleetgen(args: &Args) -> Result<(), ArgError> {
                 let incident = &world.incidents[idx];
                 let body = obs::json::Obj::new()
                     .str("text", &incident.text())
+                    .str("source", &stormtraffic::alert_source(incident.source))
                     .uint("time_minutes", incident.created_at.0)
                     .finish();
                 let t = std::time::Instant::now();

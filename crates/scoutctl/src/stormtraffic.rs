@@ -15,7 +15,7 @@
 //! incidents and silently stop exercising the dedup stage.
 
 use cloudsim::{FaultCatalog, Severity, StormScenario, StormScheduleConfig};
-use incident::Workload;
+use incident::{IncidentSource, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,6 +55,16 @@ pub enum PlanAction {
         /// Data-set name (`monitoring::Dataset::name`).
         dataset: String,
     },
+}
+
+/// The `source` an alert from `source` is posted under: customer
+/// tickets share one (`cri`), each team's watchdog has its own
+/// (`monitor-<team>`). The storm layer throttles and dedups per source.
+pub fn alert_source(source: IncidentSource) -> String {
+    match source {
+        IncidentSource::Cri => "cri".to_string(),
+        IncidentSource::Monitor(team) => format!("monitor-{}", team.name().to_ascii_lowercase()),
+    }
 }
 
 /// A fully materialized storm workload.
@@ -186,7 +196,7 @@ pub fn build_plan(world: &Workload, config: &StormTrafficConfig) -> StormPlan {
                     let text = format!("{template}\nsymptom {}", unique_token(fi, k));
                     storm_shots.push(RouteShot {
                         text,
-                        source: format!("monitor-{}", fault.owner.name().to_ascii_lowercase()),
+                        source: alert_source(IncidentSource::Monitor(fault.owner)),
                         severity: wire_severity(fault.severity),
                         time_minutes: fault.start.0 + k as u64,
                         kind: ShotKind::Storm,

@@ -188,9 +188,9 @@ fn run_batch(
 fn run_group(group: Vec<Job>, entry: &Arc<ModelEntry>, monitoring: &MonitoringSystem<'_>) {
     let inputs: Vec<(&str, SimTime)> = group.iter().map(|j| (j.text.as_str(), j.time)).collect();
     let ctxs: Vec<obs::TraceContext> = group.iter().map(|j| j.ctx).collect();
-    // The per-entry chunk cache makes repeated predicts over overlapping
-    // look-back windows skip telemetry generation; the monitoring epoch in
-    // the chunk key keeps it exact across batches.
+    // The registry's shared chunk cache makes repeated predicts over
+    // overlapping look-back windows skip telemetry generation; the
+    // monitoring epoch in the chunk key keeps it exact across batches.
     let predictions =
         entry
             .scout

@@ -169,8 +169,13 @@ impl ServedLog {
         log: impl FnOnce(&ServedRecord),
     ) -> Result<ServedRecord, ResolveError> {
         let mut records = self.records.lock().unwrap();
+        // Newest first: feedback usually follows its prediction closely,
+        // and the log holds up to `cap` older records. Ids are assigned
+        // before the lock, so the deque is only roughly id-ordered and a
+        // binary search would be wrong.
         let rec = records
             .iter_mut()
+            .rev()
             .find(|r| r.incident == incident)
             .ok_or(ResolveError::Unknown(incident))?;
         if rec.resolved {
@@ -266,6 +271,29 @@ mod tests {
         assert!(log.resolve(3).is_ok());
         let next = log.record("PhyNet", "t5", 1, true, 0.9, SimTime(5));
         assert_eq!(next, 5, "ids continue the pre-crash sequence");
+    }
+
+    #[test]
+    fn out_of_order_ids_resolve_exactly_once() {
+        let mk = |incident: u64| ServedRecord {
+            incident,
+            team: "PhyNet".into(),
+            text: format!("t{incident}"),
+            model_version: 1,
+            predicted_responsible: true,
+            confidence: 0.9,
+            time: SimTime(incident),
+            resolved: false,
+        };
+        // Racing `record` calls can insert ids out of order; restore
+        // keeps whatever order it is given. The oldest record (id 9) is
+        // evicted by the cap.
+        let log = ServedLog::restore(4, 10, vec![mk(9), mk(4), mk(7), mk(5), mk(6)]);
+        for id in [4, 7, 5, 6] {
+            assert_eq!(log.resolve(id).unwrap().incident, id);
+            assert_eq!(log.resolve(id), Err(ResolveError::AlreadyResolved(id)));
+        }
+        assert_eq!(log.resolve(9), Err(ResolveError::Unknown(9)));
     }
 
     #[test]

@@ -11,13 +11,17 @@
 //!   is a pure function of `(team name, shard count)`, so adding or
 //!   removing a team never reshuffles any other team, and every process
 //!   in a fleet agrees on the assignment with zero coordination;
+//! * the incident is featurized once per distinct Scout featurization
+//!   key, before the shards start (a fleet of replicas featurizes it
+//!   once, not once per team), under a `fleet.prepare` span;
 //! * shards run in parallel on the workspace [`pool`] (the caller's
 //!   thread participates; nested parallelism degrades to inline
 //!   execution), each under a `fleet.shard` span linked to the request
 //!   trace, with per-shard team counts and latency metrics;
-//! * each Scout runs with the request deadline re-checked at dispatch
-//!   and is individually isolated: a panic or injected fault becomes a
-//!   per-team [`ScoutError`], never a request-wide failure.
+//! * each Scout classifies with the request deadline re-checked at
+//!   dispatch and is individually isolated: a panic or injected fault
+//!   becomes a per-team [`ScoutError`] (a featurization panic, one for
+//!   each team of that key), never a request-wide failure.
 //!
 //! **Determinism:** outcomes are collected per team and sorted by team
 //! name before they leave this module, and each prediction is a pure
@@ -31,6 +35,7 @@ use crate::registry::ModelEntry;
 use cloudsim::SimTime;
 use incident::Workload;
 use monitoring::{MonitoringConfig, MonitoringSystem};
+use scout::PreparedCorpus;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -156,19 +161,29 @@ pub fn shard_of(team: &str, shards: usize) -> usize {
 /// Fan a *batch* of incidents out to every entry in one pass: one
 /// `MonitoringSystem` build shared by every shard and every incident
 /// (the severity-batching economics — same as one predict micro-batch),
-/// one `predict_many_cached` call per Scout covering the whole batch.
-/// Returns one outcome set per input, each **sorted by team name**.
+/// one featurization of the batch per [`Scout::featurization_key`]
+/// among the runnable entries, then one classification of that corpus
+/// per Scout inside its shard. Returns one outcome set per input, each
+/// **sorted by team name**.
 ///
 /// `mon` is the monitoring plane configuration (the server threads its
 /// live config through here so mid-stream data-set deprecation takes
 /// effect on the very next dispatch). `skip` lists teams tripped out by
 /// an open circuit breaker: they answer [`ScoutError::BreakerOpen`]
-/// without running — no `catch_unwind`, no predict.
+/// without running. Breaker-skipped, injected-failure and
+/// deadline-expired entries take no part in featurization. A panic while
+/// featurizing for one key answers [`ScoutError::Panicked`] for that
+/// key's members only.
 ///
-/// **Determinism:** batched predictions are bit-identical to what the
-/// same incidents dispatched one at a time would produce (the
-/// `predict_many` contract from PRs 2/7), so coalescing changes
-/// throughput, never verdicts — the storm integration tests pin this.
+/// **Determinism:** featurization reads nothing of a Scout beyond its
+/// key, so classifying a shared corpus is bit-identical to each Scout
+/// running `predict_many` on its own; and batched predictions are
+/// bit-identical to the same incidents dispatched one at a time (the
+/// `predict_many` contract), so coalescing changes
+/// throughput, never verdicts — the fleet and storm integration tests
+/// pin both.
+///
+/// [`Scout::featurization_key`]: scout::Scout::featurization_key
 pub fn dispatch_batch(
     entries: &[Arc<ModelEntry>],
     workload: &Workload,
@@ -182,11 +197,11 @@ pub fn dispatch_batch(
         return Vec::new();
     }
     let shards = config.effective_shards();
-    let mut groups: Vec<Vec<&Arc<ModelEntry>>> = vec![Vec::new(); shards];
-    for entry in entries {
-        groups[shard_of(&entry.team, shards)].push(entry);
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    for (i, entry) in entries.iter().enumerate() {
+        groups[shard_of(&entry.team, shards)].push(i);
     }
-    let groups: Vec<(usize, Vec<&Arc<ModelEntry>>)> = groups
+    let groups: Vec<(usize, Vec<usize>)> = groups
         .into_iter()
         .enumerate()
         .filter(|(_, g)| !g.is_empty())
@@ -203,6 +218,52 @@ pub fn dispatch_batch(
     let monitoring = MonitoringSystem::new(&workload.topology, &workload.faults, mon.clone());
     let ctx = obs::trace::capture();
 
+    // Decide each entry's fate before any Scout work, then featurize
+    // once per key among the entries that will run. `leaders[c]` is the
+    // first entry with corpus `c`'s key.
+    let mut leaders: Vec<usize> = Vec::new();
+    let plans: Vec<Plan> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            if skip.iter().any(|t| t == &entry.team) {
+                obs::counter("fleet.scout.breaker_open").inc();
+                return Plan::Fail(ScoutError::BreakerOpen);
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                obs::counter("fleet.scout.deadline_expired").inc();
+                return Plan::Fail(ScoutError::DeadlineExpired);
+            }
+            if config.fails(&entry.team) {
+                obs::counter("fleet.scout.injected_failure").inc();
+                return Plan::Fail(ScoutError::Injected);
+            }
+            let key = entry.scout.featurization_key();
+            let c = leaders
+                .iter()
+                .position(|&l| entries[l].scout.featurization_key() == key)
+                .unwrap_or_else(|| {
+                    leaders.push(i);
+                    leaders.len() - 1
+                });
+            Plan::Run(c)
+        })
+        .collect();
+    obs::observe("fleet.dispatch.prepare_groups", leaders.len() as f64);
+    // One key (the replica fleet) runs inline here, so the prepare
+    // still fans its inputs out over the pool; several keys run side by
+    // side, each prepare then inline on its worker.
+    let corpora: Vec<Option<PreparedCorpus>> =
+        pool::Pool::global().parallel_map(&leaders, |_, &leader| {
+            let _span = obs::span!("fleet.prepare");
+            let entry = &entries[leader];
+            let cache = Some(entry.feat_cache.as_ref());
+            catch_unwind(AssertUnwindSafe(|| {
+                entry.scout.prepare_many(inputs, &monitoring, cache, None)
+            }))
+            .ok()
+        });
+
     let per_shard: Vec<TeamBatchResults> =
         pool::Pool::global().parallel_map(&groups, |_, (shard, group)| {
             let started = Instant::now();
@@ -216,11 +277,19 @@ pub fn dispatch_batch(
             obs::observe("fleet.shard.teams", group.len() as f64);
             let results: TeamBatchResults = group
                 .iter()
-                .map(|entry| {
-                    (
-                        entry.team.clone(),
-                        run_scout_batch(entry, &monitoring, inputs, deadline, config, skip),
-                    )
+                .map(|&i| {
+                    let entry = &entries[i];
+                    let results = match &plans[i] {
+                        Plan::Fail(error) => vec![Err(error.clone()); inputs.len()],
+                        Plan::Run(c) => run_scout_batch(
+                            entry,
+                            corpora[*c].as_ref(),
+                            inputs.len(),
+                            &monitoring,
+                            deadline,
+                        ),
+                    };
+                    (entry.team.clone(), results)
                 })
                 .collect();
             obs::observe(
@@ -249,6 +318,14 @@ pub fn dispatch_batch(
         outcomes.sort_by(|a, b| a.team.cmp(&b.team));
     }
     out
+}
+
+/// One entry's part in a fan-out, decided before featurization.
+enum Plan {
+    /// Answer this error for every input without running the Scout.
+    Fail(ScoutError),
+    /// Classify the corpus at this index (of the per-key corpora).
+    Run(usize),
 }
 
 /// [`dispatch_batch`] behind the storm layer's circuit breakers — the
@@ -292,37 +369,29 @@ pub(crate) fn dispatch_gated(
     outcome_sets
 }
 
-/// Run one team's Scout over the whole input batch with isolation:
-/// breaker skip, deadline re-check, injected faults, and panic
-/// containment. Always returns exactly one result per input.
+/// Classify a shared corpus with one team's Scout, with isolation: the
+/// deadline is re-checked (featurization may have used it up), and a
+/// panic — here, or in the featurization that left `corpus` empty —
+/// stays with this team. Always returns exactly `n` results.
 fn run_scout_batch(
     entry: &ModelEntry,
+    corpus: Option<&PreparedCorpus>,
+    n: usize,
     monitoring: &MonitoringSystem<'_>,
-    inputs: &[(&str, SimTime)],
     deadline: Option<Instant>,
-    config: &FleetConfig,
-    skip: &[String],
 ) -> Vec<Result<Answer, ScoutError>> {
-    let n = inputs.len();
-    if skip.iter().any(|t| t == &entry.team) {
-        obs::counter("fleet.scout.breaker_open").inc();
-        return vec![Err(ScoutError::BreakerOpen); n];
-    }
     if deadline.is_some_and(|d| Instant::now() >= d) {
         obs::counter("fleet.scout.deadline_expired").inc();
         return vec![Err(ScoutError::DeadlineExpired); n];
     }
-    if config.fails(&entry.team) {
-        obs::counter("fleet.scout.injected_failure").inc();
-        return vec![Err(ScoutError::Injected); n];
-    }
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        entry
-            .scout
-            .predict_many_cached(inputs, monitoring, Some(&entry.feat_cache))
-    }));
+    let result = corpus.and_then(|corpus| {
+        catch_unwind(AssertUnwindSafe(|| {
+            entry.scout.predict_many_prepared(corpus, monitoring, None)
+        }))
+        .ok()
+    });
     match result {
-        Ok(predictions) => {
+        Some(predictions) => {
             debug_assert_eq!(predictions.len(), n);
             predictions
                 .into_iter()
@@ -335,7 +404,7 @@ fn run_scout_batch(
                 })
                 .collect()
         }
-        Err(_) => {
+        None => {
             obs::counter("fleet.scout.panicked").inc();
             vec![Err(ScoutError::Panicked); n]
         }

@@ -42,7 +42,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use wal::HISTORY_CAP;
 
-/// Default per-model feature-chunk cache budget (bytes).
+/// Default budget (bytes) of the registry's one feature-chunk cache,
+/// shared by every registered model.
 pub const DEFAULT_FEAT_CACHE_BYTES: usize = 64 * 1024 * 1024;
 
 /// One registered model: immutable once published.
@@ -56,10 +57,13 @@ pub struct ModelEntry {
     pub source: String,
     /// The trained Scout.
     pub scout: Scout,
-    /// Feature-chunk cache shared by every predict against this entry.
-    /// Fresh per registration, so hot-swapping a model (or its world)
-    /// starts cold instead of serving stale chunks.
-    pub feat_cache: FeatCache,
+    /// The registry's feature-chunk cache: one per registry, shared by
+    /// every entry of every team and version. A chunk is keyed by
+    /// `(monitoring epoch, dataset, device, time bucket)` and class tags
+    /// belong to the dataset, not to a Scout config, so a chunk is the
+    /// same bytes whichever Scout asks for it; a new world (or data-set
+    /// deprecation) changes the epoch, so stale chunks are unreachable.
+    pub feat_cache: Arc<FeatCache>,
 }
 
 /// One registry mutation, reported to the journal in commit order.
@@ -143,7 +147,7 @@ pub struct ModelRegistry {
     pinned: RwLock<BTreeSet<String>>,
     next_version: AtomicU64,
     epoch: AtomicU64,
-    feat_cache_bytes: usize,
+    feat_cache: Arc<FeatCache>,
     journal: RwLock<Option<Arc<dyn RegistryJournal>>>,
 }
 
@@ -163,27 +167,28 @@ impl Default for ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// An empty registry with the default per-model feature-cache budget.
+    /// An empty registry with the default feature-cache budget.
     pub fn new() -> ModelRegistry {
         ModelRegistry::with_feat_cache_bytes(DEFAULT_FEAT_CACHE_BYTES)
     }
 
-    /// An empty registry whose models each get a feature-chunk cache of
-    /// `bytes` (0 disables caching entirely).
+    /// An empty registry whose models share one feature-chunk cache of
+    /// `bytes` in total (0 disables caching entirely).
     pub fn with_feat_cache_bytes(bytes: usize) -> ModelRegistry {
         ModelRegistry {
             models: RwLock::new(BTreeMap::new()),
             pinned: RwLock::new(BTreeSet::new()),
             next_version: AtomicU64::new(1),
             epoch: AtomicU64::new(0),
-            feat_cache_bytes: bytes,
+            feat_cache: Arc::new(FeatCache::new(bytes)),
             journal: RwLock::new(None),
         }
     }
 
-    /// The per-model feature-cache budget in bytes.
+    /// The shared feature-cache budget in bytes (for the whole
+    /// registry, not per model).
     pub fn feat_cache_bytes(&self) -> usize {
-        self.feat_cache_bytes
+        self.feat_cache.capacity_bytes()
     }
 
     /// Attach the mutation journal. Mutations from this point on are
@@ -222,7 +227,7 @@ impl ModelRegistry {
             version,
             source: source.to_string(),
             scout,
-            feat_cache: FeatCache::new(self.feat_cache_bytes),
+            feat_cache: Arc::clone(&self.feat_cache),
         });
         (version, entry)
     }
@@ -454,7 +459,7 @@ impl ModelRegistry {
                     version,
                     source: source.clone(),
                     scout,
-                    feat_cache: FeatCache::new(self.feat_cache_bytes),
+                    feat_cache: Arc::clone(&self.feat_cache),
                 });
                 match models.get_mut(&team) {
                     Some(slot) => slot.supersede(entry),

@@ -3,12 +3,12 @@
 //! Stage 3 of storm control: low-severity (`Sev3`) routing requests
 //! queue in a [`Coalescer`] instead of paying a full fan-out each, and
 //! each batch is one [`fleet::dispatch_gated`] call — one
-//! `MonitoringSystem` build, one `predict_many_cached` call per Scout,
-//! one breaker sample and one breaker report per team for the whole
-//! batch, the same economics as the predict micro-batcher. The handler
-//! thread parks on a rendezvous channel exactly like
-//! `/v1/scouts/*/predict` does, then renders the decision itself; this
-//! module only produces the per-team outcome set.
+//! `MonitoringSystem` build, one featurization per Scout config and one
+//! classification per Scout, one breaker sample and one breaker report
+//! per team for the whole batch, the same economics as the predict
+//! micro-batcher. The handler thread parks on a rendezvous channel
+//! exactly like `/v1/scouts/*/predict` does, then renders the decision
+//! itself; this module only produces the per-team outcome set.
 //!
 //! Batching never changes bytes: `predict_many` over a batch is
 //! bit-identical to the same incidents predicted one at a time (the

@@ -1,16 +1,20 @@
 //! Fleet routing-plane tests: graceful degradation under partial Scout
-//! failure, unmapped-team answers participating in the decision, and the
-//! bit-identity of sharded dispatch against the sequential fan-out.
+//! failure, unmapped-team answers participating in the decision, the
+//! bit-identity of sharded dispatch against the sequential fan-out and
+//! against each Scout predicting on its own, and featurize-once.
 
 use cloudsim::{SimDuration, Team};
 use featcache::FeatCache;
 use incident::{Workload, WorkloadConfig};
 use ml::forest::ForestConfig;
-use monitoring::{MonitoringConfig, MonitoringSystem};
+use monitoring::{Dataset, MonitoringConfig, MonitoringSystem};
 use obs::json::Value;
 use proptest::prelude::*;
-use scout::{Example, Scout, ScoutBuildConfig, ScoutConfig};
-use serve::{Client, Engine, FleetConfig, ModelEntry, ModelRegistry, ServeConfig, Server};
+use scout::{Example, Prediction, Scout, ScoutBuildConfig, ScoutConfig};
+use serve::{
+    Client, Engine, FleetConfig, ModelEntry, ModelRegistry, ScoutError, ServeConfig, Server,
+    TeamOutcome,
+};
 use std::sync::{Arc, OnceLock};
 
 /// A small world: enough incidents to train on, fast enough for tests.
@@ -29,11 +33,40 @@ fn small_workload() -> Arc<Workload> {
         .clone()
 }
 
-/// One PhyNet Scout trained on the small world, cached as model text so
-/// every test can cheaply mint `Scout` instances under any team name.
-fn trained_model_text() -> &'static str {
-    static TEXT: OnceLock<String> = OnceLock::new();
-    TEXT.get_or_init(|| {
+/// Build settings of the test Scouts. Variant 0 is the base; the
+/// others change what featurization reads (a disabled data set, a
+/// shorter look-back), so a fleet mixing variants has several
+/// featurization keys.
+fn build_variant(variant: usize) -> ScoutBuildConfig {
+    let base = ScoutBuildConfig {
+        forest: ForestConfig {
+            n_trees: 8,
+            ..ForestConfig::default()
+        },
+        cluster_train_cap: 10,
+        ..ScoutBuildConfig::default()
+    };
+    match variant {
+        0 => base,
+        1 => ScoutBuildConfig {
+            disabled_datasets: vec![Dataset::PingStats],
+            ..base
+        },
+        _ => ScoutBuildConfig {
+            lookback: SimDuration::hours(1),
+            ..base
+        },
+    }
+}
+
+const VARIANTS: usize = 3;
+
+/// One PhyNet Scout per build variant trained on the small world, kept
+/// as `(featurization key at training time, model text)` so every test
+/// can cheaply mint `Scout` instances under any team name.
+fn trained_models() -> &'static [(String, String)] {
+    static MODELS: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    MODELS.get_or_init(|| {
         let world = small_workload();
         let mon =
             MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
@@ -42,24 +75,25 @@ fn trained_model_text() -> &'static str {
             .iter()
             .map(|i| Example::new(i.text(), i.created_at, i.owner == Team::PhyNet))
             .collect();
-        let config = ScoutConfig::phynet();
-        let build = ScoutBuildConfig {
-            forest: ForestConfig {
-                n_trees: 8,
-                ..ForestConfig::default()
-            },
-            cluster_train_cap: 10,
-            ..ScoutBuildConfig::default()
-        };
-        let corpus = Scout::prepare(&config, &build, &examples, &mon);
-        let train = corpus.trainable_indices();
-        let scout = Scout::train_prepared(config, build, &corpus, &train, &mon);
-        scout.to_text()
+        (0..VARIANTS)
+            .map(|variant| {
+                let config = ScoutConfig::phynet();
+                let build = build_variant(variant);
+                let corpus = Scout::prepare(&config, &build, &examples, &mon);
+                let train = corpus.trainable_indices();
+                let scout = Scout::train_prepared(config, build, &corpus, &train, &mon);
+                (scout.featurization_key().to_string(), scout.to_text())
+            })
+            .collect()
     })
 }
 
+fn variant_scout(variant: usize) -> Scout {
+    Scout::from_text(&trained_models()[variant].1).expect("cached model text round-trips")
+}
+
 fn test_scout() -> Scout {
-    Scout::from_text(trained_model_text()).expect("cached model text round-trips")
+    variant_scout(0)
 }
 
 /// A server with one test Scout per `teams` entry (registered in order,
@@ -243,7 +277,7 @@ fn dispatch_entries() -> &'static Vec<Arc<ModelEntry>> {
                     version: i as u64 + 1,
                     source: "test".into(),
                     scout: test_scout(),
-                    feat_cache: FeatCache::new(16 * 1024 * 1024),
+                    feat_cache: Arc::new(FeatCache::new(16 * 1024 * 1024)),
                 })
             })
             .collect()
@@ -251,7 +285,7 @@ fn dispatch_entries() -> &'static Vec<Arc<ModelEntry>> {
 }
 
 /// A canonical, comparison-friendly rendering of dispatch outcomes.
-fn render_outcomes(outcomes: &[serve::TeamOutcome]) -> String {
+fn render_outcomes(outcomes: &[TeamOutcome]) -> String {
     outcomes
         .iter()
         .map(|o| match &o.result {
@@ -309,5 +343,277 @@ proptest! {
         let mut expected: Vec<&str> = entries.iter().map(|e| e.team.as_str()).collect();
         expected.sort_unstable();
         prop_assert_eq!(teams, expected);
+    }
+}
+
+/// A heterogeneous fleet for the oracle tests: eight teams cycling
+/// through the build variants (so every featurization key has several
+/// members), all sharing one chunk cache as a registry's entries do.
+fn mixed_entries() -> &'static Vec<Arc<ModelEntry>> {
+    static ENTRIES: OnceLock<Vec<Arc<ModelEntry>>> = OnceLock::new();
+    ENTRIES.get_or_init(|| {
+        let cache = Arc::new(FeatCache::new(16 * 1024 * 1024));
+        [
+            "PhyNet", "Storage", "Database", "Atlantis", "DNS", "SLB", "Compute", "HostNet",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, team)| {
+            Arc::new(ModelEntry {
+                team: team.to_string(),
+                version: i as u64 + 1,
+                source: "test".into(),
+                scout: variant_scout(i % VARIANTS),
+                feat_cache: Arc::clone(&cache),
+            })
+        })
+        .collect()
+    })
+}
+
+/// One team's answer or error, with every byte a route response can
+/// depend on: verdict, model, the confidence's bits and the explanation.
+fn render_result(team: &str, result: Result<(u64, &Prediction), &ScoutError>) -> String {
+    match result {
+        Ok((version, p)) => format!(
+            "{team} v{version} {:?} {:?} {:016x} {:?}\n",
+            p.verdict,
+            p.model,
+            p.confidence.to_bits(),
+            p.explanation
+        ),
+        Err(e) => format!("{team} ERR {e}\n"),
+    }
+}
+
+/// `dispatch_batch` outcome sets, one rendering per input.
+fn render_dispatch(outcome_sets: &[Vec<TeamOutcome>]) -> Vec<String> {
+    outcome_sets
+        .iter()
+        .map(|outcomes| {
+            outcomes
+                .iter()
+                .map(|o| {
+                    render_result(
+                        &o.team,
+                        o.result.as_ref().map(|a| (a.model_version, &a.prediction)),
+                    )
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The fan-out's meaning, computed without `dispatch_batch`: each team
+/// on its own, breaker skips first, then injected failures, else its
+/// Scout's own `predict_many`. Rendered like [`render_dispatch`].
+fn oracle(
+    entries: &[Arc<ModelEntry>],
+    world: &Workload,
+    inputs: &[(&str, cloudsim::SimTime)],
+    fail_teams: &[String],
+    skip: &[String],
+) -> Vec<String> {
+    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
+    let mut teams: Vec<&Arc<ModelEntry>> = entries.iter().collect();
+    teams.sort_by(|a, b| a.team.cmp(&b.team));
+    let per_team: Vec<Vec<String>> = teams
+        .iter()
+        .map(|entry| {
+            let error = if skip.contains(&entry.team) {
+                Some(ScoutError::BreakerOpen)
+            } else if fail_teams
+                .iter()
+                .any(|t| t.eq_ignore_ascii_case(&entry.team))
+            {
+                Some(ScoutError::Injected)
+            } else {
+                None
+            };
+            match error {
+                Some(e) => vec![render_result(&entry.team, Err(&e)); inputs.len()],
+                None => entry
+                    .scout
+                    .predict_many(inputs, &mon)
+                    .iter()
+                    .map(|p| render_result(&entry.team, Ok((entry.version, p))))
+                    .collect(),
+            }
+        })
+        .collect();
+    (0..inputs.len())
+        .map(|i| per_team.iter().map(|team| team[i].as_str()).collect())
+        .collect()
+}
+
+/// The teams of `all` whose bit is set in `mask`.
+fn masked(all: &[Arc<ModelEntry>], mask: u32) -> Vec<String> {
+    all.iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, e)| e.team.clone())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Shared featurization is invisible: over a fleet with several
+    /// featurization keys, `dispatch_batch` answers exactly what each
+    /// Scout answers on its own, for any team subset, injected-failure
+    /// and breaker-skip sets, batch of 1–4 incidents and shard count.
+    #[test]
+    fn dispatch_matches_independent_per_scout_predicts(
+        shards in 1usize..9,
+        mask in 1u32..(1 << 8),
+        fail_mask in 0u32..(1 << 8),
+        skip_mask in 0u32..(1 << 8),
+        picks in proptest::collection::vec(0usize..10_000, 1..5),
+    ) {
+        let world = small_workload();
+        let all = mixed_entries();
+        let entries: Vec<Arc<ModelEntry>> = all
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, e)| Arc::clone(e))
+            .collect();
+        let fail_teams = masked(all, fail_mask);
+        let skip = masked(all, skip_mask);
+        let texts: Vec<(String, cloudsim::SimTime)> = picks
+            .iter()
+            .map(|&k| {
+                let incident = &world.incidents[k % world.incidents.len()];
+                (incident.text(), incident.created_at)
+            })
+            .collect();
+        let inputs: Vec<(&str, cloudsim::SimTime)> =
+            texts.iter().map(|(t, at)| (t.as_str(), *at)).collect();
+
+        let config = FleetConfig { shards, suggestions: 3, fail_teams: fail_teams.clone() };
+        let dispatched = serve::fleet::dispatch_batch(
+            &entries, &world, &MonitoringConfig::default(), &inputs, None, &config, &skip,
+        );
+        prop_assert_eq!(
+            render_dispatch(&dispatched),
+            oracle(&entries, &world, &inputs, &fail_teams, &skip)
+        );
+    }
+}
+
+#[test]
+fn the_mixed_fleet_has_several_featurization_keys() {
+    let keys: std::collections::BTreeSet<&str> = mixed_entries()
+        .iter()
+        .map(|e| e.scout.featurization_key())
+        .collect();
+    assert_eq!(keys.len(), VARIANTS);
+}
+
+#[test]
+fn taking_a_group_leader_out_leaves_its_group_unchanged() {
+    // The first entry of each key leads its featurization. Failing it,
+    // or tripping its breaker, must not change any other member's bytes.
+    let world = small_workload();
+    let entries = mixed_entries();
+    let incident = &world.incidents[world.incidents.len() / 3];
+    let text = incident.text();
+    let inputs = [(text.as_str(), incident.created_at)];
+    let dispatch = |fail_teams: Vec<String>, skip: Vec<String>| {
+        let config = FleetConfig {
+            shards: 3,
+            suggestions: 3,
+            fail_teams,
+        };
+        serve::fleet::dispatch_batch(
+            entries,
+            &world,
+            &MonitoringConfig::default(),
+            &inputs,
+            None,
+            &config,
+            &skip,
+        )
+        .pop()
+        .unwrap()
+    };
+    let baseline = dispatch(Vec::new(), Vec::new());
+    for leader in &entries[..VARIANTS] {
+        let others = |outcomes: &[TeamOutcome]| -> String {
+            let rest: Vec<TeamOutcome> = outcomes
+                .iter()
+                .filter(|o| o.team != leader.team)
+                .cloned()
+                .collect();
+            render_dispatch(&[rest]).concat()
+        };
+        let failed = dispatch(vec![leader.team.clone()], Vec::new());
+        let skipped = dispatch(Vec::new(), vec![leader.team.clone()]);
+        assert_eq!(others(&failed), others(&baseline), "{} failed", leader.team);
+        assert_eq!(
+            others(&skipped),
+            others(&baseline),
+            "{} skipped",
+            leader.team
+        );
+        let err = |outcomes: &[TeamOutcome]| {
+            outcomes
+                .iter()
+                .find(|o| o.team == leader.team)
+                .unwrap()
+                .result
+                .clone()
+                .unwrap_err()
+        };
+        assert_eq!(err(&failed), ScoutError::Injected);
+        assert_eq!(err(&skipped), ScoutError::BreakerOpen);
+    }
+}
+
+#[test]
+fn a_replica_fleet_featurizes_each_incident_once() {
+    // Eight replicas of one Scout on one fresh cache: a dispatch does the
+    // chunk lookups of a single `predict_many_cached` call, not eight.
+    let world = small_workload();
+    let incident = &world.incidents[world.incidents.len() / 2];
+    let text = incident.text();
+    let inputs = [(text.as_str(), incident.created_at)];
+    let fleet_cache = Arc::new(FeatCache::new(16 * 1024 * 1024));
+    let entries: Vec<Arc<ModelEntry>> = (0..8)
+        .map(|i| {
+            Arc::new(ModelEntry {
+                team: format!("PhyNet-{i}"),
+                version: i + 1,
+                source: "test".into(),
+                scout: test_scout(),
+                feat_cache: Arc::clone(&fleet_cache),
+            })
+        })
+        .collect();
+    serve::fleet::dispatch_batch(
+        &entries,
+        &world,
+        &MonitoringConfig::default(),
+        &inputs,
+        None,
+        &fleet_config(4, &[]),
+        &[],
+    );
+
+    let single_cache = FeatCache::new(16 * 1024 * 1024);
+    let mon = MonitoringSystem::new(&world.topology, &world.faults, MonitoringConfig::default());
+    test_scout().predict_many_cached(&inputs, &mon, Some(&single_cache));
+
+    let (fleet, single) = (fleet_cache.stats(), single_cache.stats());
+    assert!(single.misses > 0, "the incident reads telemetry");
+    assert_eq!(fleet.misses, single.misses);
+    assert_eq!(fleet.hits, single.hits);
+}
+
+#[test]
+fn featurization_key_survives_a_model_round_trip() {
+    for (key, text) in trained_models() {
+        let loaded = Scout::from_text(text).expect("model text round-trips");
+        assert_eq!(loaded.featurization_key(), key);
     }
 }

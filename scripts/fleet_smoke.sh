@@ -2,8 +2,9 @@
 # End-to-end smoke test for the sharded fleet routing plane: boot
 # `scoutctl serve` with 32 synthetic teams rendezvous-hashed over 4
 # shards, then drive a multi-team incident burst through `/v1/route`
-# with `scoutctl fleetgen`, enforcing an accuracy floor and zero
-# unmapped answers (the silent-drop regression gate).
+# with `scoutctl fleetgen`, enforcing an accuracy floor, zero
+# unmapped answers (the silent-drop regression gate), and one
+# featurization per routed incident (the featurize-once gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,10 +39,33 @@ if [[ -z "$addr" ]]; then
 fi
 echo "fleet server up on $addr (32 synthetic teams, 4 shards)"
 
+# Featurize-once gate: the 32 synthetic teams share one Scout config,
+# so each routed incident is featurized once, not once per team. Compare
+# counter deltas across the burst (startup training featurizes too).
+counter() {
+  ./target/release/scoutctl probe --addr "$addr" --path /metrics |
+    awk -v name="$1" '$1 == name {print int($2); found=1} END {if (!found) print 0}'
+}
+prepared_before=$(counter scout_prepare_examples_total)
+fanouts_before=$(counter fleet_dispatch_fanouts_total)
+
 # The measured accuracy on this seed is ~0.57 (top-k hit ~0.89); the
 # floor guards against routing-plane regressions, not model quality.
 ./target/release/scoutctl fleetgen --addr "$addr" "${world_flags[@]}" \
   --requests 40 --concurrency 4 --min-accuracy 0.4 --max-unmapped 0
+
+prepared=$(( $(counter scout_prepare_examples_total) - prepared_before ))
+fanouts=$(( $(counter fleet_dispatch_fanouts_total) - fanouts_before ))
+echo "featurized $prepared incident(s) over $fanouts fan-out(s)"
+if (( fanouts == 0 )); then
+  echo "fleet smoke: no fan-outs counted in /metrics" >&2
+  exit 1
+fi
+if (( prepared > fanouts )); then
+  echo "fleet smoke: $prepared featurized incidents exceed $fanouts fan-outs" >&2
+  echo "(the fleet shares one config; each incident must be featurized once)" >&2
+  exit 1
+fi
 
 kill "$serve_pid" 2>/dev/null || true
 trap - EXIT
